@@ -48,6 +48,9 @@ class MCPartitioner {
 
   const MCStats& stats() const { return stats_; }
 
+  /// Counters of the internal Merger after the last Run().
+  const MergerStats& merger_stats() const { return merger_stats_; }
+
  private:
   struct MCCandidate {
     ScoredPredicate scored;
@@ -65,6 +68,7 @@ class MCPartitioner {
   MCOptions options_;
   MergerOptions merger_options_;
   MCStats stats_;
+  MergerStats merger_stats_;
 
   /// Tuple influence per table row for rows in outlier input groups
   /// (NaN elsewhere); backs the max-tuple bound and high-cardinality

@@ -7,7 +7,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "common/atomic_counter.h"
@@ -28,14 +28,47 @@ struct MergerStats {
 };
 
 /// \brief Greedy predicate merger.
+///
+/// Run() compiles the scored candidates once into an attribute-indexed box
+/// table (merger.cc): every attribute gets a slot with its resolved domain,
+/// every candidate a slot-ordered range/set list with slot masks and its
+/// representative's aggregate state. The grow scan, the Section 6.3
+/// estimate and the accept loop's no-op check all run on that table; a
+/// merged box becomes a Predicate only when the accept loop scores it
+/// exactly. All of Run() is read-only on shared state except the counters,
+/// so the estimate pass runs in parallel under the scorer's pool.
 class Merger {
  public:
+  /// Compiled partitions; opaque outside merger.cc.
+  struct BoxTable;
+
+  /// Partitions compiled once for repeated Section 6.3 estimates; Run()
+  /// estimates through the same table and kernel. Immutable after
+  /// MakeEstimator(), so concurrent Estimate() calls are safe. Must not
+  /// outlive its Merger or the partitions it was made from.
+  class Estimator {
+   public:
+    Estimator(Estimator&&) noexcept;
+    ~Estimator();
+
+    /// EstimateMergedInfluence(a, b, partitions).
+    double Estimate(const ScoredPredicate& a, const ScoredPredicate& b) const;
+
+   private:
+    friend class Merger;
+    Estimator(const Merger& merger, std::unique_ptr<const BoxTable> table);
+
+    const Merger* merger_;
+    std::unique_ptr<const BoxTable> table_;
+  };
+
   /// `scorer` must outlive the Merger. `domains` provides attribute extents
   /// for volume computations (cached-tuple estimate).
   Merger(const Scorer& scorer, DomainMap domains, MergerOptions options);
 
   /// Expands `candidates` and returns the union of inputs and accepted
-  /// merges, deduplicated, exactly scored, sorted by descending influence.
+  /// merges, deduplicated (exact predicate identity, first occurrence
+  /// kept), exactly scored, sorted by descending influence.
   Result<std::vector<ScoredPredicate>> Run(
       std::vector<ScoredPredicate> candidates) const;
 
@@ -49,10 +82,16 @@ class Merger {
   /// the volume fraction of the partition inside the box. `all` supplies the
   /// surrounding partitions (the p3's of Figure 7). Requires an
   /// incrementally removable aggregate and PartitionInfo on the inputs;
-  /// callers must check CanEstimate() first.
+  /// callers must check CanEstimate() first. Compiles `all` per call; use
+  /// MakeEstimator() to estimate many merges against one partition set.
   double EstimateMergedInfluence(const ScoredPredicate& a,
                                  const ScoredPredicate& b,
                                  const std::vector<ScoredPredicate>& all) const;
+
+  /// Compiles `partitions` (in order) for Estimator::Estimate: slots cover
+  /// every DomainMap and clause attribute, and representative states are
+  /// resolved when the estimate is on.
+  Estimator MakeEstimator(const std::vector<ScoredPredicate>& partitions) const;
 
   /// True if the cached-tuple estimate is usable for these inputs.
   bool CanEstimate(const ScoredPredicate& a, const ScoredPredicate& b) const;
@@ -63,25 +102,13 @@ class Merger {
   /// Ensures `sp.influence` holds the exact score.
   Status EnsureScored(ScoredPredicate* sp) const;
 
-  /// state(rep value) memoized per representative row. NOT thread-safe on a
-  /// cache miss: parallel sections must be preceded by
-  /// PrewarmRepresentativeStates() so every lookup inside them hits.
-  const AggState& RepresentativeState(RowId row) const;
-
-  /// Fills rep_state_cache_ for every candidate's representative so that
-  /// EstimateMergedInfluence can run read-only (and thus in parallel).
-  void PrewarmRepresentativeStates(
-      const std::vector<ScoredPredicate>& candidates) const;
-
-  /// Volume of (q ∩ box) / Volume(q), computed clause-wise without
-  /// materializing the intersection predicate.
-  double OverlapFraction(const Predicate& q, const Predicate& box) const;
+  /// True when Run() resolves representative states and estimates merges.
+  bool Estimating() const;
 
   const Scorer& scorer_;
   DomainMap domains_;
   MergerOptions options_;
   mutable MergerStats stats_;
-  mutable std::unordered_map<RowId, AggState> rep_state_cache_;
 };
 
 }  // namespace scorpion

@@ -3,6 +3,7 @@
 
 #include <limits>
 #include <memory>
+#include <unordered_set>
 #include <vector>
 
 #include "predicate/predicate.h"
@@ -53,6 +54,19 @@ struct ScoredPredicate {
 inline bool ByInfluenceDesc(const ScoredPredicate& a,
                             const ScoredPredicate& b) {
   return a.influence > b.influence;
+}
+
+/// Drops every entry whose predicate equals an earlier entry's (exact
+/// identity: Predicate::Hash and operator==), keeping order.
+inline std::vector<ScoredPredicate> UniqueByPredicate(
+    std::vector<ScoredPredicate> in) {
+  std::unordered_set<Predicate> seen;
+  std::vector<ScoredPredicate> out;
+  out.reserve(in.size());
+  for (ScoredPredicate& sp : in) {
+    if (seen.insert(sp.pred).second) out.push_back(std::move(sp));
+  }
+  return out;
 }
 
 }  // namespace scorpion

@@ -523,8 +523,8 @@ Scorer::BuildMatchCacheExtended(const Predicate& pred,
       match_source_ != nullptr) {
     return BuildMatchCache(pred);
   }
-  auto seed_it = seed->matches_by_pred.find(pred.ToString(nullptr));
-  if (seed_it == seed->matches_by_pred.end() || seed_it->second == nullptr) {
+  auto seed_it = seed->matches.find(pred);
+  if (seed_it == seed->matches.end() || seed_it->second == nullptr) {
     return BuildMatchCache(pred);
   }
   const PredicateMatchCache& old_cache = *seed_it->second;

@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "aggregates/aggregate.h"
@@ -121,8 +122,15 @@ struct ScorerStats {
 /// match Selections by filtering only the appended suffix.
 struct SessionDeltaSeed {
   size_t old_num_rows = 0;
-  /// Predicate canonical form (ToString with raw codes) → the match cache
-  /// built for it at the old generation.
+  /// Predicate (exact identity: Predicate::Hash and operator==) → the match
+  /// cache built for it at the old generation.
+  std::unordered_map<Predicate, std::shared_ptr<const PredicateMatchCache>>
+      matches;
+  /// Never read. The former key, Predicate::ToString, prints bounds to 6
+  /// significant digits, so distinct predicates could share one entry and
+  /// reuse each other's matches; only `matches` seeds an extension now.
+  /// Kept so existing callers that fill it still compile (they get cold
+  /// filters); remove once none do.
   std::map<std::string, std::shared_ptr<const PredicateMatchCache>>
       matches_by_pred;
   /// Group key_string → result index at the old generation.

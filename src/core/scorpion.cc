@@ -123,14 +123,14 @@ bool ExplainSession::BeginDeltaRefresh(uint64_t new_generation,
     seed->old_num_rows = key_.num_rows;
     for (const ScoredPredicate& sp : partitions_) {
       if (sp.matches != nullptr) {
-        seed->matches_by_pred[sp.pred.ToString(nullptr)] = sp.matches;
+        seed->matches[sp.pred] = sp.matches;
       }
     }
     for (size_t i = 0; i < old_result.results.size(); ++i) {
       seed->old_index_by_key[old_result.results[i].key_string] =
           static_cast<int>(i);
     }
-    if (seed->matches_by_pred.empty()) seed.reset();
+    if (seed->matches.empty()) seed.reset();
   }
   has_partitions_ = false;
   partitions_.clear();

@@ -6,6 +6,7 @@
 #include <memory>
 #include <sstream>
 
+#include "common/fingerprint.h"
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -799,6 +800,21 @@ double Predicate::Volume(const DomainMap& domains) const {
            static_cast<double>(it->second.cardinality);
   }
   return vol;
+}
+
+size_t Predicate::Hash() const {
+  // operator== treats -0.0 and 0.0 as equal, so zeros hash as +0.0.
+  auto bound = [](double v) { return v == 0.0 ? 0.0 : v; };
+  Fingerprinter fp;
+  fp.U64(ranges_.size());
+  for (const RangeClause& r : ranges_) {
+    fp.Str(r.attr).Double(bound(r.lo)).Double(bound(r.hi)).U64(r.hi_inclusive);
+  }
+  fp.U64(sets_.size());
+  for (const SetClause& s : sets_) {
+    fp.Str(s.attr).Bytes(s.codes.data(), s.codes.size() * sizeof(int32_t));
+  }
+  return static_cast<size_t>(fp.Finish().lo);
 }
 
 std::string Predicate::ToString(const Table* table) const {

@@ -3,6 +3,8 @@
 // clause per attribute (Section 3.1 of the paper).
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -146,6 +148,13 @@ class Predicate {
   std::string ToString(const Table* table = nullptr) const;
 
   bool operator==(const Predicate& other) const = default;
+
+  /// Exact-identity hash, consistent with operator==: covers every clause's
+  /// attribute, the raw bits of its bounds (zeros folded to +0.0, which
+  /// operator== treats as equal), hi_inclusive and the set codes. Unlike
+  /// ToString(), which prints bounds to 6 significant digits, predicates
+  /// that differ anywhere hash apart with high probability.
+  size_t Hash() const;
 
  private:
   std::vector<RangeClause> ranges_;  // sorted by attr
@@ -306,3 +315,9 @@ class BoundPredicate {
 };
 
 }  // namespace scorpion
+
+/// Hash containers of predicates dedupe by exact identity.
+template <>
+struct std::hash<scorpion::Predicate> {
+  size_t operator()(const scorpion::Predicate& p) const { return p.Hash(); }
+};

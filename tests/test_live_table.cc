@@ -297,6 +297,82 @@ TEST(SessionDeltaRefresh, BitIdenticalToSessionlessRun) {
   }
 }
 
+// Regression: the delta seed was keyed by Predicate::ToString, which prints
+// bounds to 6 significant digits, so a refreshed partition whose bound
+// differs past the 6th digit reused another predicate's old matches.
+TEST(SessionDeltaRefresh, SeedKeysPredicatesExactly) {
+  Predicate a;
+  Predicate b;
+  ASSERT_TRUE(a.AddRange({"x", 1000000.25, 1000001, true}).ok());
+  ASSERT_TRUE(b.AddRange({"x", 1000000.5, 1000001, true}).ok());
+  ASSERT_EQ(a.ToString(), b.ToString());  // both "x in [1e+06, 1000001]"
+  ASSERT_FALSE(a == b);
+
+  LiveTable live(Schema({{"g", DataType::kCategorical},
+                         {"x", DataType::kDouble},
+                         {"v", DataType::kDouble}}));
+  // x cycles through 1e6 + {0, .25, .5, .75}: rows at .25 match a, not b.
+  auto append = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      const std::string g = (i / 4) % 2 == 0 ? "hot" : "cold";
+      const double x = 1000000.0 + 0.25 * static_cast<double>(i % 4);
+      ASSERT_TRUE(live.Append({g, x, 1.0}).ok());
+    }
+  };
+  GroupByQuery query;
+  query.aggregate = "SUM";
+  query.agg_attr = "v";
+  query.group_by = {"g"};
+
+  append(0, 160);
+  auto snap1 = live.Publish();
+  ASSERT_TRUE(snap1.ok());
+  auto qr1 = ExecuteGroupBy((*snap1)->table, query);
+  ASSERT_TRUE(qr1.ok());
+  auto problem1 = MakeProblem(*qr1, {"hot"}, {"cold"}, 1.0, 0.5, 0.5, {"x"});
+  ASSERT_TRUE(problem1.ok());
+  auto scorer1 = Scorer::Make((*snap1)->table, *qr1, *problem1);
+  ASSERT_TRUE(scorer1.ok());
+
+  append(160, 240);
+  auto snap2 = live.Publish();
+  ASSERT_TRUE(snap2.ok());
+  auto qr2 = ExtendQueryResult(*qr1, (*snap2)->table);
+  ASSERT_TRUE(qr2.ok());
+  auto problem2 = MakeProblem(*qr2, {"hot"}, {"cold"}, 1.0, 0.5, 0.5, {"x"});
+  ASSERT_TRUE(problem2.ok());
+  auto scorer2 = Scorer::Make((*snap2)->table, *qr2, *problem2);
+  ASSERT_TRUE(scorer2.ok());
+
+  // The seed holds a's old matches only; b must not pick them up.
+  SessionDeltaSeed seed;
+  seed.old_num_rows = (*snap1)->table.num_rows();
+  auto old_a = scorer1->BuildMatchCache(a);
+  ASSERT_TRUE(old_a.ok());
+  seed.matches[a] = *old_a;
+  for (size_t i = 0; i < qr1->results.size(); ++i) {
+    seed.old_index_by_key[qr1->results[i].key_string] = static_cast<int>(i);
+  }
+
+  auto expect_same = [&](const Predicate& pred, size_t want_hits) {
+    size_t hits = 0;
+    auto extended = scorer2->BuildMatchCacheExtended(pred, &seed, &hits);
+    ASSERT_TRUE(extended.ok());
+    auto cold = scorer2->BuildMatchCache(pred);
+    ASSERT_TRUE(cold.ok());
+    for (int idx : problem2->outliers) {
+      EXPECT_EQ((**extended)[idx].rows(), (**cold)[idx].rows());
+    }
+    for (int idx : problem2->holdouts) {
+      EXPECT_EQ((**extended)[idx].rows(), (**cold)[idx].rows());
+    }
+    EXPECT_EQ(hits, want_hits);
+  };
+  expect_same(b, 0);
+  // An exact key still extends: the outlier and hold-out slots both hit.
+  expect_same(a, 2);
+}
+
 // --- LiveDataset (api layer) -------------------------------------------------
 
 TEST(LiveDataset, DeltaRefreshBitIdenticalToColdOpen) {
