@@ -5,10 +5,12 @@
 //   estimate  — rank candidate merges by the cached-tuple volume
 //               approximation instead of exact scoring
 //
-// Reported: wall time, exact Scorer calls, estimated calls, and the final
-// best influence + F-score (to confirm the optimizations do not degrade
-// quality). Expectation: both optimizations cut exact scorer traffic; the
-// estimate replaces most candidate-ranking scores; quality stays flat.
+// Reported: wall time, exact Scorer calls, estimated calls, the merged
+// boxes served from Merger::Run's per-run memo instead of being scored or
+// estimated again, and the final best influence + F-score (to confirm the
+// optimizations do not degrade quality). Expectation: both optimizations
+// cut exact scorer traffic; the estimate replaces most candidate-ranking
+// scores; quality stays flat.
 #include <cstdio>
 
 #include "bench_common.h"
@@ -40,7 +42,8 @@ int main() {
   std::printf("partitions: %zu\n\n", partitions->size());
 
   TablePrinter table({"quartile", "estimate", "time(s)", "exact scores",
-                      "estimates", "best influence", "F(outer)"});
+                      "exact reuses", "estimates", "estimate reuses",
+                      "best influence", "F(outer)"});
   for (bool quartile : {false, true}) {
     for (bool estimate : {false, true}) {
       MergerOptions mopts;
@@ -60,9 +63,12 @@ int main() {
                                    inst->outlier_union,
                                    inst->dataset.outer_rows);
       BENCH_CHECK_OK(acc);
+      const MergerStats& stats = merger.stats();
       table.AddRow({quartile ? "on" : "off", estimate ? "on" : "off",
-                    Fmt(seconds), std::to_string(merger.stats().exact_scores),
-                    std::to_string(merger.stats().estimated_scores),
+                    Fmt(seconds), std::to_string(stats.exact_scores),
+                    std::to_string(stats.exact_score_reuses),
+                    std::to_string(stats.estimated_scores),
+                    std::to_string(stats.estimate_reuses),
                     Fmt(merged->front().influence, "%.4g"),
                     Fmt(acc->f_score)});
     }

@@ -4,7 +4,9 @@
 //    matched tuples);
 //  * predicate binding + filtering throughput, with and without zone-map
 //    block pruning;
-//  * the Merger's cached-tuple estimate vs. an exact score (Section 6.3).
+//  * the Merger's cached-tuple estimate vs. an exact score (Section 6.3);
+//  * a whole Merger::Run over DT partitions, with its per-run memo's
+//    counters.
 //
 // Usage: bench_scorer_microbench [--tiny] [--json <path>] [gbench flags]
 //   --tiny         CI smoke configuration (short measurement time).
@@ -19,6 +21,7 @@
 
 #include "common/json.h"
 #include "common/random.h"
+#include "core/dt.h"
 #include "core/merger.h"
 #include "core/scorer.h"
 #include "core/split_sweep.h"
@@ -305,6 +308,58 @@ void BM_MergerEstimateVsExact(benchmark::State& state) {
   state.SetLabel(state.range(0) == 1 ? "exact" : "estimate");
 }
 BENCHMARK(BM_MergerEstimateVsExact)->Arg(0)->Arg(1)->Arg(2);
+
+// A whole Merger::Run (Section 4.3 expansion with the Section 6.3 estimate)
+// over the DT partitions of one seeded SYNTH-3D-Easy instance at c = 0.5,
+// on a fresh Merger and a fresh copy of the partitions per iteration. The
+// counters are one run's: Scorer calls, exact scores served from the
+// per-run memo, estimates run and estimates reused, and merges accepted.
+void BM_MergerRun(benchmark::State& state) {
+  struct Instance {
+    SynthDataset dataset;
+    QueryResult qr;
+    ProblemSpec problem;
+    DomainMap domains;
+    std::vector<ScoredPredicate> partitions;
+  };
+  static const Instance* inst = [] {
+    auto* in = new Instance;
+    SynthOptions opts = SynthPreset(3, /*easy=*/true, /*seed=*/1003);
+    opts.tuples_per_group = 100;
+    in->dataset = GenerateSynth(opts).ValueOrDie();
+    in->qr = ExecuteGroupBy(in->dataset.table, in->dataset.query).ValueOrDie();
+    in->problem = MakeProblem(in->qr, in->dataset.outlier_keys,
+                              in->dataset.holdout_keys, 1.0, 0.5, 0.5,
+                              in->dataset.attributes)
+                      .ValueOrDie();
+    in->domains =
+        ComputeDomains(in->dataset.table, in->problem.attributes).ValueOrDie();
+    Scorer scorer =
+        Scorer::Make(in->dataset.table, in->qr, in->problem).ValueOrDie();
+    in->partitions = DTPartitioner(scorer, DTOptions{}).Run().ValueOrDie();
+    return in;
+  }();
+  Scorer scorer =
+      Scorer::Make(inst->dataset.table, inst->qr, inst->problem).ValueOrDie();
+  MergerStats stats;
+  for (auto _ : state) {
+    Merger merger(scorer, inst->domains, MergerOptions{});
+    auto ranked = merger.Run(inst->partitions);
+    benchmark::DoNotOptimize(ranked.ValueOrDie().data());
+    stats = merger.stats();
+  }
+  state.counters["partitions"] = static_cast<double>(inst->partitions.size());
+  state.counters["exact_scores"] = static_cast<double>(stats.exact_scores);
+  state.counters["exact_score_reuses"] =
+      static_cast<double>(stats.exact_score_reuses);
+  state.counters["estimated_scores"] =
+      static_cast<double>(stats.estimated_scores);
+  state.counters["estimate_reuses"] =
+      static_cast<double>(stats.estimate_reuses);
+  state.counters["merges_accepted"] =
+      static_cast<double>(stats.merges_accepted);
+}
+BENCHMARK(BM_MergerRun)->Unit(benchmark::kMillisecond);
 
 // Console reporter that also captures every completed run so main() can
 // serialize them with the deterministic JSON writer the wire format uses —

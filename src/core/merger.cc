@@ -7,8 +7,10 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
+#include "common/fingerprint.h"
 #include "common/macros.h"
 
 namespace scorpion {
@@ -18,6 +20,8 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 // Minimum exact-score improvement to accept a merge; guards against
 // floating-point churn producing endless no-op expansions.
 constexpr double kImproveEps = 1e-12;
+// Widest accept-loop chunk scored in one batched pass.
+constexpr size_t kMaxChunk = 8;
 
 // --- Compiled boxes ---------------------------------------------------------
 //
@@ -232,6 +236,42 @@ bool SameClauses(const Box& a, const Box& b) {
   }
   return true;
 }
+
+/// Predicate::Hash on compiled boxes, consistent with SameClauses: slots,
+/// raw bound bits (zeros as +0.0, since -0.0 == 0.0), hi_inclusive and set
+/// codes.
+struct BoxHash {
+  size_t operator()(const Box& box) const {
+    auto bound = [](double v) { return v == 0.0 ? 0.0 : v; };
+    Fingerprinter fp;
+    fp.U64(box.ranges.size());
+    for (const Box::Range& r : box.ranges) {
+      fp.U64(r.slot).Double(bound(r.lo)).Double(bound(r.hi)).U64(
+          r.hi_inclusive);
+    }
+    fp.U64(box.sets.size());
+    for (const Box::Set& s : box.sets) {
+      fp.U64(s.slot).Bytes(box.CodesBegin(s),
+                           box.NumCodes(s) * sizeof(int32_t));
+    }
+    return static_cast<size_t>(fp.Finish().lo);
+  }
+};
+
+struct SameBox {
+  bool operator()(const Box& a, const Box& b) const {
+    return SameClauses(a, b);
+  }
+};
+
+/// What one Run() has computed for a distinct merged box. Both values come
+/// from deterministic kernels, so a memo hit is bit-identical to computing
+/// the value again.
+struct BoxScores {
+  std::optional<double> estimate;  // EstimateBox
+  std::optional<double> exact;     // Scorer influence of its Predicate
+};
+using BoxMemo = std::unordered_map<Box, BoxScores, BoxHash, SameBox>;
 
 /// Predicate::Attributes() equality.
 bool SameAttributes(const Box& a, const Box& b) {
@@ -548,6 +588,11 @@ Result<std::vector<ScoredPredicate>> Merger::Run(
     num_seeds = std::max<size_t>(1, candidates.size() / 4);
   }
 
+  // Every distinct merged box this call has estimated or exactly scored.
+  // Only this thread touches it: the parallel estimate pass reads boxes and
+  // writes its own output slots, and the misses are stored afterwards.
+  BoxMemo memo;
+
   std::vector<ScoredPredicate> results = candidates;
   for (size_t s = 0; s < num_seeds; ++s) {
     ScoredPredicate cur = candidates[s];
@@ -562,6 +607,7 @@ Result<std::vector<ScoredPredicate>> Merger::Run(
         size_t other;  // index into candidates / table.entries
         double estimate;
         std::optional<Box> box;  // bounding box of cur and the other
+        BoxMemo::value_type* known;  // the box's memo entry
       };
       std::vector<Candidate> grow;
       for (size_t o = 0; o < table.entries.size(); ++o) {
@@ -571,12 +617,13 @@ Result<std::vector<ScoredPredicate>> Merger::Run(
         }
         if (ContainsBox(cur_box, other)) continue;
         if (!AdjacentBoxes(cur_box, other)) continue;
-        grow.push_back({o, 0.0, std::nullopt});
+        grow.push_back({o, 0.0, std::nullopt, nullptr});
         if (grow.size() >= options_.max_candidates_per_step) break;
       }
       if (grow.empty()) break;
-      // Bounding boxes are built on first use: the estimate needs every
-      // candidate's, the accept loop only those it reaches.
+      // Bounding boxes and their memo entries are looked up on first use:
+      // the estimate needs every candidate's, the accept loop only those it
+      // reaches.
       auto box_of = [&](Candidate& cand) -> const Box& {
         if (!cand.box) {
           cand.box = BoundingBox(cur_box, table.entries[cand.other].box,
@@ -584,31 +631,56 @@ Result<std::vector<ScoredPredicate>> Merger::Run(
         }
         return *cand.box;
       };
-      // Estimating a merge is the expansion step's hot scoring loop; each
-      // candidate is independent and the table is read-only, so this runs
-      // in parallel.
-      ParallelForOver(pool, 0, grow.size(), [&](size_t i) {
-        Candidate& cand = grow[i];
-        if (cur_estimable && table.entries[cand.other].estimable) {
-          ++stats_.estimated_scores;
-          cand.estimate = EstimateBox(scorer_, table, box_of(cand));
-        } else {
+      auto known_of = [&](Candidate& cand) -> BoxScores& {
+        if (cand.known == nullptr) {
+          cand.known = &*memo.try_emplace(box_of(cand)).first;
+        }
+        return cand.known->second;
+      };
+
+      // Estimating a merge is the expansion step's hot scoring loop. Boxes
+      // the memo already holds are not estimated again; the rest are
+      // independent and the table is read-only, so they run in parallel.
+      std::vector<BoxMemo::value_type*> misses;
+      for (Candidate& cand : grow) {
+        if (!cur_estimable || !table.entries[cand.other].estimable) {
           // Fall back to the neighbour's own score.
           cand.estimate = candidates[cand.other].influence;
+          continue;
         }
+        BoxScores& known = known_of(cand);
+        if (known.estimate) {
+          ++stats_.estimate_reuses;
+        } else {
+          // Marks the box queued, so an equal box later in grow reuses it;
+          // the value is stored below.
+          known.estimate.emplace();
+          misses.push_back(cand.known);
+        }
+      }
+      std::vector<double> estimates(misses.size());
+      ParallelForOver(pool, 0, misses.size(), [&](size_t i) {
+        estimates[i] = EstimateBox(scorer_, table, misses[i]->first);
       });
+      stats_.estimated_scores += misses.size();
+      for (size_t i = 0; i < misses.size(); ++i) {
+        misses[i]->second.estimate = estimates[i];
+      }
+      for (Candidate& cand : grow) {
+        if (cand.known != nullptr) cand.estimate = *cand.known->second.estimate;
+      }
       std::sort(grow.begin(), grow.end(),
                 [](const Candidate& a, const Candidate& b) {
                   return a.estimate > b.estimate;
                 });
 
-      // Accepts grow[i] (exactly scored as `pred`) as the new cur. Carries
+      // Accepts `cand` (exactly scored as `score`) as the new cur. Carries
       // approximate metadata forward so later estimates stay possible:
       // counts add, the seed's representative stays.
-      auto accept = [&](Candidate& cand, Predicate pred, double score) {
+      auto accept = [&](Candidate& cand, double score) {
         const ScoredPredicate& other = candidates[cand.other];
         ScoredPredicate merged;
-        merged.pred = std::move(pred);
+        merged.pred = ToPredicate(*cand.box, table.attrs);
         merged.influence = score;
         merged.info = cur.info;
         if (cur.info.outlier_counts.size() ==
@@ -624,69 +696,65 @@ Result<std::vector<ScoredPredicate>> Merger::Run(
         ++stats_.merges_accepted;
       };
 
-      // Accept the first candidate whose *exact* merged influence improves.
+      // Accept the first candidate, in estimate order, whose *exact* merged
+      // influence improves. Exact scores are computed a chunk at a time:
+      // with candidate batching a chunk goes through the batched filter
+      // plane (bounding boxes of one seed against its neighbours usually
+      // differ in a single clause); without it every chunk is one
+      // candidate. The accept decision still takes the FIRST improving
+      // candidate, so the accepted merge, and hence the whole expansion
+      // trajectory, does not depend on the chunking. Chunk sizing follows
+      // the (already computed, descending) estimates: while the estimate
+      // itself predicts an improvement the candidate is scored alone — an
+      // accept there would throw a speculative batch away — and once
+      // estimates drop below the accept threshold the remaining tail is
+      // batched at full width. Only boxes the memo has not scored reach
+      // the Scorer, each once per chunk.
+      const size_t max_chunk =
+          scorer_.candidate_batching_enabled() ? kMaxChunk : 1;
       bool accepted = false;
-      if (scorer_.candidate_batching_enabled()) {
-        // Exact merged influences are computed a chunk at a time through
-        // the batched filter plane (bounding boxes of one seed against its
-        // neighbours usually differ in a single clause), but the accept
-        // decision still takes the FIRST improving candidate in estimate
-        // order — the accepted merge, and hence the whole expansion
-        // trajectory, is identical to the sequential path below. Chunk
-        // sizing follows the (already computed, descending) estimates:
-        // while the estimate itself predicts an improvement the candidate
-        // is scored alone — an accept there would throw a speculative
-        // batch away — and once estimates drop below the accept threshold
-        // the remaining tail, which the sequential path would grind
-        // through one scan at a time, is batched at full width.
-        constexpr size_t kMaxChunk = 8;
-        for (size_t start = 0; start < grow.size() && !accepted;) {
-          const size_t lim =
-              grow[start].estimate > cur.influence + kImproveEps
-                  ? start + 1
-                  : std::min(start + kMaxChunk, grow.size());
-          std::vector<size_t> idx;
-          std::vector<Predicate> merged_preds;
-          for (size_t i = start; i < lim; ++i) {
-            if (SameClauses(box_of(grow[i]), cur_box)) continue;
-            idx.push_back(i);
-            merged_preds.push_back(ToPredicate(*grow[i].box, table.attrs));
-          }
-          if (merged_preds.empty()) {
-            start = lim;
+      for (size_t start = 0; start < grow.size() && !accepted;) {
+        const size_t lim =
+            grow[start].estimate > cur.influence + kImproveEps
+                ? start + 1
+                : std::min(start + max_chunk, grow.size());
+        std::vector<size_t> chunk;  // grow indices that change cur
+        std::vector<BoxMemo::value_type*> unscored;
+        std::vector<Predicate> unscored_preds;
+        for (size_t i = start; i < lim; ++i) {
+          if (SameClauses(box_of(grow[i]), cur_box)) continue;
+          chunk.push_back(i);
+          BoxScores& known = known_of(grow[i]);
+          if (known.exact) {
+            ++stats_.exact_score_reuses;
             continue;
           }
-          std::vector<double> scores;
-          if (merged_preds.size() == 1) {
-            // Likely-accept head: score inline, skipping the batch
-            // machinery a single candidate cannot use.
-            SCORPION_ASSIGN_OR_RETURN(double score,
-                                      scorer_.Influence(merged_preds[0]));
-            scores.push_back(score);
-          } else {
-            SCORPION_ASSIGN_OR_RETURN(scores,
-                                      scorer_.InfluenceAll(merged_preds));
-          }
-          stats_.exact_scores += merged_preds.size();
-          for (size_t j = 0; j < idx.size(); ++j) {
-            if (!(scores[j] > cur.influence + kImproveEps)) continue;
-            accept(grow[idx[j]], std::move(merged_preds[j]), scores[j]);
-            accepted = true;
-            break;
-          }
-          start = lim;
+          known.exact.emplace();  // queued; stored below
+          unscored.push_back(grow[i].known);
+          unscored_preds.push_back(ToPredicate(*grow[i].box, table.attrs));
         }
-      } else {
-        for (Candidate& cand : grow) {
-          if (SameClauses(box_of(cand), cur_box)) continue;
-          ScoredPredicate merged;
-          merged.pred = ToPredicate(*cand.box, table.attrs);
-          SCORPION_RETURN_NOT_OK(EnsureScored(&merged));
-          if (merged.influence > cur.influence + kImproveEps) {
-            accept(cand, std::move(merged.pred), merged.influence);
-            accepted = true;
-            break;
-          }
+        start = lim;
+        std::vector<double> scores;
+        if (unscored_preds.size() == 1) {
+          // Score inline, skipping the batch machinery a single candidate
+          // cannot use.
+          SCORPION_ASSIGN_OR_RETURN(double score,
+                                    scorer_.Influence(unscored_preds[0]));
+          scores.push_back(score);
+        } else if (!unscored_preds.empty()) {
+          SCORPION_ASSIGN_OR_RETURN(scores,
+                                    scorer_.InfluenceAll(unscored_preds));
+        }
+        stats_.exact_scores += unscored_preds.size();
+        for (size_t j = 0; j < unscored.size(); ++j) {
+          unscored[j]->second.exact = scores[j];
+        }
+        for (size_t i : chunk) {
+          const double score = *grow[i].known->second.exact;
+          if (!(score > cur.influence + kImproveEps)) continue;
+          accept(grow[i], score);
+          accepted = true;
+          break;
         }
       }
       if (!accepted) break;

@@ -19,9 +19,16 @@ namespace scorpion {
 
 /// Counters for benchmark reporting. Atomic so they stay exact while
 /// candidates are scored/estimated in parallel; copying snapshots.
+/// exact_scores and estimated_scores count kernel work actually run; the
+/// two *_reuses counters count the merged boxes Run() served from its
+/// per-run memo instead. A memo-free Merger would report
+/// exact_scores + exact_score_reuses exact scores, and likewise for the
+/// estimates.
 struct MergerStats {
-  RelaxedCounter exact_scores;      // Scorer::Influence calls
+  RelaxedCounter exact_scores;      // Scorer influence calls
   RelaxedCounter estimated_scores;  // cached-tuple approximations
+  RelaxedCounter exact_score_reuses;  // merged boxes already exactly scored
+  RelaxedCounter estimate_reuses;     // merged boxes already estimated
   RelaxedCounter merges_accepted;
   RelaxedCounter match_cache_scores;  // exact scores served from cached match
                                       // Selections (no bind/filter pass)
@@ -35,8 +42,11 @@ struct MergerStats {
 /// representative's aggregate state. The grow scan, the Section 6.3
 /// estimate and the accept loop's no-op check all run on that table; a
 /// merged box becomes a Predicate only when the accept loop scores it
-/// exactly. All of Run() is read-only on shared state except the counters,
-/// so the estimate pass runs in parallel under the scorer's pool.
+/// exactly. Seeds that start next to each other keep reaching the same
+/// merged boxes, so Run() memoizes each distinct box's estimate and exact
+/// score for the rest of the call and computes neither twice. All of Run()
+/// is read-only on shared state except the counters, so the estimate pass
+/// runs in parallel under the scorer's pool.
 class Merger {
  public:
   /// Compiled partitions; opaque outside merger.cc.

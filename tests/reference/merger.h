@@ -134,12 +134,21 @@ inline bool Adjacent(const Predicate& a, const Predicate& b) {
   return true;
 }
 
-/// Merger::Run with the sequential accept loop. Counts exact scores,
-/// estimates and accepted merges into `stats`.
+/// Every merged box MergerRun estimated or exactly scored, in call order,
+/// repeats included.
+struct MergerTrace {
+  std::vector<Predicate> estimated;
+  std::vector<Predicate> scored;
+};
+
+/// Merger::Run with the sequential accept loop and no memo: every merged
+/// box is estimated and scored each time the expansion reaches it. Counts
+/// exact scores, estimates and accepted merges into `stats`, and logs the
+/// merged boxes into `trace` when given.
 inline Result<std::vector<ScoredPredicate>> MergerRun(
     const Scorer& scorer, const DomainMap& domains,
     const MergerOptions& options, std::vector<ScoredPredicate> candidates,
-    MergerStats* stats) {
+    MergerStats* stats, MergerTrace* trace = nullptr) {
   const size_t num_groups = scorer.problem().outliers.size();
   auto can_estimate = [&](const ScoredPredicate& a, const ScoredPredicate& b) {
     return options.use_cached_tuple_estimate && scorer.incremental() &&
@@ -184,6 +193,10 @@ inline Result<std::vector<ScoredPredicate>> MergerRun(
       for (Grow& g : grow) {
         if (can_estimate(cur, *g.other)) {
           ++stats->estimated_scores;
+          if (trace != nullptr) {
+            trace->estimated.push_back(
+                Predicate::BoundingBox(cur.pred, g.other->pred));
+          }
           g.estimate =
               EstimateMergedInfluence(scorer, domains, cur, *g.other,
                                       candidates);
@@ -199,6 +212,7 @@ inline Result<std::vector<ScoredPredicate>> MergerRun(
         ScoredPredicate merged;
         merged.pred = Predicate::BoundingBox(cur.pred, g.other->pred);
         if (merged.pred == cur.pred) continue;
+        if (trace != nullptr) trace->scored.push_back(merged.pred);
         SCORPION_RETURN_NOT_OK(score(&merged));
         if (!(merged.influence > cur.influence + 1e-12)) continue;
         merged.info = cur.info;

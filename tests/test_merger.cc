@@ -2,9 +2,11 @@
 // cached-tuple optimizations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <unordered_set>
 
 #include "core/merger.h"
 #include "eval/experiment.h"
@@ -328,6 +330,33 @@ TEST(MergerEstimateDifferential, CompiledKernelMatchesClauseWalkingReference) {
   }
 }
 
+size_t NumDistinct(const std::vector<Predicate>& preds) {
+  return std::unordered_set<Predicate>(preds.begin(), preds.end()).size();
+}
+
+// The per-run memo changes only how much work a run does, never its
+// trajectory: accepted merges match the memo-free reference, and estimates
+// plus estimate reuses equal its estimates, with each distinct merged box
+// estimated once. With candidate batching off (one-candidate accept chunks)
+// the same holds for exact scores; a batched chunk also scores candidates
+// past the accepted merge.
+void ExpectMemoOnlyMovesWork(const MergerStats& got, const MergerStats& want,
+                             const reference::MergerTrace& trace,
+                             bool batching) {
+  EXPECT_EQ(got.merges_accepted.load(), want.merges_accepted.load());
+  EXPECT_EQ(got.estimated_scores.load() + got.estimate_reuses.load(),
+            want.estimated_scores.load());
+  EXPECT_EQ(got.estimated_scores.load(), NumDistinct(trace.estimated));
+  if (!batching) {
+    EXPECT_EQ(got.exact_scores.load() + got.exact_score_reuses.load(),
+              want.exact_scores.load());
+    // The candidates' own scores plus one per distinct merged box.
+    const size_t candidate_scores = want.exact_scores - trace.scored.size();
+    EXPECT_EQ(got.exact_scores.load(),
+              candidate_scores + NumDistinct(trace.scored));
+  }
+}
+
 // Whole runs on random candidate sets over a sensor table (ranges with
 // touching, nested and point bounds; sets on the categorical attribute;
 // partitions with and without usable PartitionInfo): the compiled grow
@@ -401,8 +430,9 @@ TEST(MergerRunDifferential, MatchesClauseWalkingReference) {
       }
       Scorer ref_scorer = Scorer::Make(data.table, qr, problem).ValueOrDie();
       MergerStats want_stats;
+      reference::MergerTrace trace;
       auto want = reference::MergerRun(ref_scorer, domains, options,
-                                       candidates, &want_stats);
+                                       candidates, &want_stats, &trace);
       ASSERT_TRUE(want.ok());
       for (bool batching : {false, true}) {
         Scorer scorer = Scorer::Make(data.table, qr, problem).ValueOrDie();
@@ -417,15 +447,7 @@ TEST(MergerRunDifferential, MatchesClauseWalkingReference) {
               << (*want)[i].pred.ToString();
           EXPECT_TRUE(SameBits((*got)[i].influence, (*want)[i].influence));
         }
-        EXPECT_EQ(merger.stats().merges_accepted.load(),
-                  want_stats.merges_accepted.load());
-        EXPECT_EQ(merger.stats().estimated_scores.load(),
-                  want_stats.estimated_scores.load());
-        // The batched accept loop also scores past the accepted merge.
-        if (!batching) {
-          EXPECT_EQ(merger.stats().exact_scores.load(),
-                    want_stats.exact_scores.load());
-        }
+        ExpectMemoOnlyMovesWork(merger.stats(), want_stats, trace, batching);
       }
       accepted += want_stats.merges_accepted.load();
     }
@@ -460,6 +482,102 @@ TEST(MergerDedupe, KeepsPredicatesThatOnlyPrintAlike) {
   }
   EXPECT_EQ(first, 1u);
   EXPECT_EQ(second, 1u);
+}
+
+// The paper's sensors table, explained over sensorid and voltage.
+class MergerMemo : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    qr_ = ExecuteGroupBy(table_, testing_helpers::PaperQuery()).ValueOrDie();
+    problem_ = MakeProblem(qr_, {"12PM", "1PM"}, {"11AM"}, 1.0, 0.5, 0.5,
+                           {"sensorid", "voltage"})
+                   .ValueOrDie();
+    domains_ = ComputeDomains(table_, problem_.attributes).ValueOrDie();
+  }
+
+  Scorer MakeScorer() const {
+    return Scorer::Make(table_, qr_, problem_).ValueOrDie();
+  }
+
+  struct Runs {
+    reference::MergerTrace trace;
+    MergerStats want;       // the reference's counters
+    MergerStats unbatched;  // the Merger's, candidate batching off
+  };
+
+  // Runs the Merger and the memo-free reference on `inputs` with every
+  // candidate a seed, and checks bit-equal outputs and the memo's work
+  // identities with candidate batching off and on.
+  void RunAgainstReference(const std::vector<ScoredPredicate>& inputs,
+                           Runs* runs) const {
+    MergerOptions options;
+    options.top_quartile_only = false;
+    auto want = reference::MergerRun(MakeScorer(), domains_, options, inputs,
+                                     &runs->want, &runs->trace);
+    ASSERT_TRUE(want.ok());
+    for (bool batching : {false, true}) {
+      SCOPED_TRACE(batching ? "batched" : "unbatched");
+      Scorer scorer = MakeScorer();
+      scorer.set_enable_candidate_batching(batching);
+      Merger merger(scorer, domains_, options);
+      auto got = merger.Run(inputs);
+      ASSERT_TRUE(got.ok());
+      ASSERT_EQ(got->size(), want->size());
+      for (size_t i = 0; i < got->size(); ++i) {
+        EXPECT_TRUE((*got)[i].pred == (*want)[i].pred) << i;
+        EXPECT_TRUE(SameBits((*got)[i].influence, (*want)[i].influence))
+            << i;
+      }
+      ExpectMemoOnlyMovesWork(merger.stats(), runs->want, runs->trace,
+                              batching);
+      if (!batching) runs->unbatched = merger.stats();
+    }
+  }
+
+  Table table_ = testing_helpers::PaperSensorsTable();
+  QueryResult qr_;
+  ProblemSpec problem_;
+  DomainMap domains_;
+};
+
+// Three voltage bands tiling [2.2, 2.8]: seeds that start next to each
+// other reach the same bounding boxes (two neighbouring bands make one hull
+// whichever of them is the seed), and the memo scores each box once.
+TEST_F(MergerMemo, ConvergingSeedsScoreEachBoxOnce) {
+  std::vector<ScoredPredicate> inputs(3);
+  inputs[0].pred = Range1D("voltage", 2.2, 2.5);
+  inputs[1].pred = Range1D("voltage", 2.5, 2.68);
+  inputs[2].pred = Range1D("voltage", 2.68, 2.8, true);
+  Runs runs;
+  RunAgainstReference(inputs, &runs);
+  EXPECT_LT(NumDistinct(runs.trace.scored), runs.trace.scored.size());
+  EXPECT_GT(runs.unbatched.exact_score_reuses.load(), 0u);
+  EXPECT_LT(runs.unbatched.exact_scores.load(), runs.want.exact_scores.load());
+}
+
+// The memo keys on exact bounds. Seed [2.3, 2.6) grows into two neighbours
+// whose upper bounds differ only past the 6th significant digit, so both
+// merged boxes print as "voltage in [2.3, 2.65)"; only one of them holds
+// the 2.65 reading, so a key as lossy as that string would reuse the wrong
+// score.
+TEST_F(MergerMemo, BoxesThatOnlyPrintAlikeAreBothScored) {
+  std::vector<ScoredPredicate> inputs(3);
+  inputs[0].pred = Range1D("voltage", 2.3, 2.6);
+  inputs[1].pred = Range1D("voltage", 2.6, 2.65);
+  inputs[2].pred = Range1D("voltage", 2.6, 2.6500001);
+  Runs runs;
+  RunAgainstReference(inputs, &runs);
+  const std::vector<Predicate>& scored = runs.trace.scored;
+  // Vacuity guards: the two boxes print alike, score differently, and the
+  // reference scored both.
+  const Predicate lower = Range1D("voltage", 2.3, 2.65);
+  const Predicate upper = Range1D("voltage", 2.3, 2.6500001);
+  ASSERT_EQ(lower.ToString(), upper.ToString());
+  const Scorer scorer = MakeScorer();
+  EXPECT_FALSE(SameBits(scorer.Influence(lower).ValueOrDie(),
+                        scorer.Influence(upper).ValueOrDie()));
+  EXPECT_NE(std::find(scored.begin(), scored.end(), lower), scored.end());
+  EXPECT_NE(std::find(scored.begin(), scored.end(), upper), scored.end());
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 // influences and the Merger's work counters must match values recorded from
 // the clause-walking Merger. Any change to the estimate, the grow scan, the
 // accept loop or the dedupe that moves a single bit or a single exact score
-// fails here.
+// fails here. The per-run score memo must only move work: exact and
+// estimated scores plus their memo reuses still equal the recorded
+// clause-walking counts, and the kernel work left after the memo is
+// recorded in two more columns, so a change that loses memo hits fails too.
 //
 // On a mismatch the test prints the actual record in the initializer format
 // below, so an intended behaviour change can be re-recorded by pasting it.
@@ -34,9 +37,15 @@ struct Golden {
   uint64_t digest;
   const char* top;
   uint64_t top_bits;
+  // Memo-free counts: MergerStats exact_scores + exact_score_reuses and
+  // estimated_scores + estimate_reuses.
   uint64_t exact_scores;
   uint64_t estimated_scores;
   uint64_t merges_accepted;
+  // Kernel work actually run: MergerStats exact_scores and
+  // estimated_scores.
+  uint64_t scorer_calls;
+  uint64_t estimates_run;
 };
 
 uint64_t Bits(double v) {
@@ -67,9 +76,12 @@ Golden Record(const char* name, const std::vector<ScoredPredicate>& ranked,
   }
   g.top = "";
   g.top_bits = ranked.empty() ? 0 : Bits(ranked.front().influence);
-  g.exact_scores = stats.exact_scores.load();
-  g.estimated_scores = stats.estimated_scores.load();
+  g.exact_scores = stats.exact_scores.load() + stats.exact_score_reuses.load();
+  g.estimated_scores =
+      stats.estimated_scores.load() + stats.estimate_reuses.load();
   g.merges_accepted = stats.merges_accepted.load();
+  g.scorer_calls = stats.exact_scores.load();
+  g.estimates_run = stats.estimated_scores.load();
   return g;
 }
 
@@ -80,13 +92,16 @@ void ExpectGolden(const Golden& want, const Golden& got,
                     want.top_bits == got.top_bits &&
                     want.exact_scores == got.exact_scores &&
                     want.estimated_scores == got.estimated_scores &&
-                    want.merges_accepted == got.merges_accepted;
+                    want.merges_accepted == got.merges_accepted &&
+                    want.scorer_calls == got.scorer_calls &&
+                    want.estimates_run == got.estimates_run;
   EXPECT_TRUE(same) << "actual record:\n"
                     << "    {\"" << got.name << "\", " << got.num_ranked
                     << ", 0x" << std::hex << got.digest << "ull,\n     \""
                     << got_top << "\", 0x" << got.top_bits << "ull, "
                     << std::dec << got.exact_scores << ", "
                     << got.estimated_scores << ", " << got.merges_accepted
+                    << ", " << got.scorer_calls << ", " << got.estimates_run
                     << "},";
 }
 
@@ -94,56 +109,56 @@ void ExpectGolden(const Golden& want, const Golden& got,
 const Golden kSynthGolden[] = {
     {"synth2d_easy_c1", 127, 0xd87b7ca61727f3edull,
      "A2 in [0.193769, 99.9515]",
-     0x407463317b043d1eull, 212, 1399, 81},
+     0x407463317b043d1eull, 212, 1399, 81, 153, 328},
     {"synth2d_easy_c5", 132, 0xa7ceab5c142ffb07ull,
      "A1 in [41.9096, 90.2636) & A2 in [47.8738, 83.8569)",
-     0x405692abd8e83994ull, 1004, 3392, 125},
+     0x405692abd8e83994ull, 1004, 3392, 125, 198, 392},
     {"synth2d_hard_c1", 248, 0xe2ae4eb6e0af336dull,
      "A1 in [20.491, 90.2636) & A2 in [0.193769, 99.9515]",
-     0x4055533b42c387d4ull, 1689, 5481, 202},
+     0x4055533b42c387d4ull, 1689, 5481, 202, 746, 1203},
     {"synth2d_hard_c5", 255, 0xd41b75a7c1e36b7aull,
      "A1 in [50.9218, 90.2636) & A2 in [69.6948, 80.4755)",
-     0x4031c847fe24e848ull, 2500, 5961, 154},
+     0x4031c847fe24e848ull, 2500, 5961, 154, 810, 1130},
     {"synth3d_easy_c1", 104, 0x1d05cf608e344605ull,
      "A1 in [0.128995, 99.9943] & A3 in [0.0270281, 74.4227)",
-     0x4072c01d77a60cc8ull, 218, 1520, 46},
+     0x4072c01d77a60cc8ull, 218, 1520, 46, 118, 316},
     {"synth3d_easy_c5", 109, 0xfff6df42752cca64ull,
      "A1 in [46.2788, 99.9943] & A2 in [35.236, 90.494) & "
      "A3 in [18.5575, 74.4227)",
-     0x40538c778d4c3864ull, 896, 2304, 55},
+     0x40538c778d4c3864ull, 896, 2304, 55, 176, 456},
     {"synth3d_hard_c1", 231, 0x6fab1cb18eaf76a1ull,
      "A1 in [40.1668, 99.9943] & A3 in [18.5575, 99.9778]",
-     0x40556d909ef4d78eull, 2178, 5982, 140},
+     0x40556d909ef4d78eull, 2178, 5982, 140, 492, 1133},
     {"synth3d_hard_c5", 241, 0xa67c5b5b04a87059ull,
      "A1 in [31.9071, 89.1056) & A2 in [28.0889, 81.204) & "
      "A3 in [18.5575, 74.4227)",
-     0x403616581085f953ull, 4009, 7393, 132},
+     0x403616581085f953ull, 4009, 7393, 132, 998, 1630},
     {"synth4d_easy_c1", 95, 0x1d86a845728ff029ull,
      "A3 in [0.213874, 78.0194)",
-     0x4077967278445c16ull, 248, 1158, 54},
+     0x4077967278445c16ull, 248, 1158, 54, 107, 254},
     {"synth4d_easy_c5", 97, 0x652a59b85e785685ull,
      "A1 in [22.9012, 99.9349] & A2 in [20.5995, 85.0896) & "
      "A3 in [0.213874, 75.9104)",
-     0x40557590e28cade7ull, 655, 2285, 81},
+     0x40557590e28cade7ull, 655, 2285, 81, 140, 324},
     {"synth4d_hard_c1", 145, 0x942e1d32d58b6690ull,
      "A1 in [10.5051, 99.9349] & A4 in [25.0214, 99.8075]",
-     0x405a0d73ea5dc4c0ull, 790, 3165, 71},
+     0x405a0d73ea5dc4c0ull, 790, 3165, 71, 170, 454},
     {"synth4d_hard_c5", 149, 0x72aac651b85cf1f8ull,
      "A1 in [10.5051, 94.1066) & A3 in [0.213874, 78.0194) & "
      "A4 in [0.165522, 67.3589)",
-     0x4035ac52e846803eull, 1541, 3607, 70},
+     0x4035ac52e846803eull, 1541, 3607, 70, 246, 545},
 };
 
 // SENSOR (dying mote), DT over a categorical and three continuous
 // attributes, so estimates mix set and range clauses.
 const Golden kSensorGolden = {"sensor_dt", 52, 0x50a4589247f4e872ull,
     "sensorid in {5, 20} & voltage in [2.30719, 2.61484)",
-    0x400bdca9d6ed9e6dull, 191, 238, 11};
+    0x400bdca9d6ed9e6dull, 191, 238, 11, 88, 73};
 
 // EXPENSE, MC over (org_type, disb_desc).
 const Golden kExpenseGolden = {"expense_mc", 114, 0xa6a3b9657ba65eeeull,
     "disb_desc in {10, 12} & org_type in {0}",
-    0x4148ef160cfbf698ull, 6556, 0, 68};
+    0x4148ef160cfbf698ull, 6556, 0, 68, 2565, 0};
 
 struct SynthCase {
   int dims;
@@ -196,13 +211,20 @@ TEST(MergerGolden, SynthDTTrajectoriesUnchanged) {
     Golden got = RunSynthCase(cases[i], nullptr, /*batching=*/true, &top);
     got.name = name.c_str();
     ExpectGolden(kSynthGolden[i], got, top);
-    // The parallel estimate pass and the sequential accept loop reach the
-    // same trajectory. Only the exact-score count differs: the batched
-    // accept loop also scores the rest of a chunk past the accepted merge.
+    // Vacuity guard: seeds of these cases converge on shared merged
+    // boxes, so the memo serves both kinds of score.
+    EXPECT_LT(got.scorer_calls, got.exact_scores);
+    EXPECT_LT(got.estimates_run, got.estimated_scores);
+    // The parallel estimate pass and one-candidate accept chunks (candidate
+    // batching off) reach the same trajectory. Only the exact-score counts
+    // differ: a batched chunk also scores candidates past the accepted
+    // merge, which also changes which later boxes the memo already holds.
     got = RunSynthCase(cases[i], &pool, /*batching=*/false, &top);
     got.name = name.c_str();
     EXPECT_LE(got.exact_scores, kSynthGolden[i].exact_scores);
+    EXPECT_LE(got.scorer_calls, got.exact_scores);
     got.exact_scores = kSynthGolden[i].exact_scores;
+    got.scorer_calls = kSynthGolden[i].scorer_calls;
     ExpectGolden(kSynthGolden[i], got, top);
   }
 }
