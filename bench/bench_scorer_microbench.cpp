@@ -5,6 +5,8 @@
 //  * predicate binding + filtering throughput, with and without zone-map
 //    block pruning;
 //  * the Merger's cached-tuple estimate vs. an exact score (Section 6.3);
+//  * the DT split sweep, batched vs. per-candidate, on a clustered column
+//    with many thresholds and on a DT node's shape;
 //  * a whole Merger::Run over DT partitions, with its per-run memo's
 //    counters.
 //
@@ -14,6 +16,7 @@
 //                  (schema documented in README "Benchmarks").
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -240,6 +243,78 @@ void BM_SplitSearch(benchmark::State& state) {
   state.SetLabel(batched ? "batched" : "unbatched");
 }
 BENCHMARK(BM_SplitSearch)->Arg(0)->Arg(1);
+
+// The same A/B in the shape a DT node hands the sweep: 48 groups of about
+// 70 sampled rows each (row-id ordered, values uniformly random, so no
+// clustering for a partition cache to exploit) and the k = 3 quantile
+// candidates RangeSplitCandidates picks from them. Per-row partitioning
+// dominates at this k, which is what BM_SplitSearch's K = 32 clustered
+// case does not show. Same checksums and labels; Arg(1) = batched.
+void BM_NodeSplitSearch(benchmark::State& state) {
+  constexpr size_t kRows = 1 << 16;
+  constexpr size_t kGroups = 48;
+  constexpr uint32_t kSamplePerGroup = 70;
+  constexpr int kCandidates = 3;
+  static Table* table = [] {
+    Rng rng(31);
+    auto* t = new Table(Schema({{"x", DataType::kDouble}}));
+    for (size_t i = 0; i < kRows; ++i) {
+      (void)t->column(0).AppendDouble(rng.Uniform(0.0, 100.0));
+    }
+    (void)t->FinalizeColumnwiseBuild();
+    return t;
+  }();
+  static auto* rows = [] {
+    Rng rng(37);
+    auto* r = new std::vector<RowIdList>(kGroups);
+    for (size_t g = 0; g < kGroups; ++g) {
+      std::vector<uint32_t> picks =
+          rng.SampleWithoutReplacement(kRows, kSamplePerGroup);
+      std::sort(picks.begin(), picks.end());
+      (*r)[g].assign(picks.begin(), picks.end());
+    }
+    return r;
+  }();
+  static auto* infs = [] {
+    Rng rng(41);
+    auto* v = new std::vector<std::vector<double>>(kGroups);
+    for (size_t g = 0; g < kGroups; ++g) {
+      for (size_t i = 0; i < (*rows)[g].size(); ++i) {
+        (*v)[g].push_back(rng.Uniform(-1.0, 1.0));
+      }
+    }
+    return v;
+  }();
+  std::vector<SplitGroup> groups;
+  size_t total_rows = 0;
+  for (size_t g = 0; g < kGroups; ++g) {
+    groups.push_back({&(*rows)[g], &(*infs)[g]});
+    total_rows += (*rows)[g].size();
+  }
+  const Column& col = table->column(0);
+  const std::vector<double> thresholds =
+      RangeSplitCandidates(col, groups, kCandidates);
+  const bool batched = state.range(0) == 1;
+  SplitEval eval;
+  for (auto _ : state) {
+    eval = batched ? RangeSplitSweep(col, groups, thresholds)
+                   : RangeSplitReference(col, groups, thresholds);
+    benchmark::DoNotOptimize(eval.metric.data());
+  }
+  double metric_sum = 0.0;
+  double left_sum = 0.0;
+  for (size_t j = 0; j < eval.metric.size(); ++j) {
+    metric_sum += eval.metric[j];
+    left_sum += static_cast<double>(eval.total_left[j]);
+  }
+  state.counters["metric_checksum"] = metric_sum;
+  state.counters["left_checksum"] = left_sum;
+  state.counters["thresholds"] = static_cast<double>(thresholds.size());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(total_rows * thresholds.size()));
+  state.SetLabel(batched ? "batched" : "unbatched");
+}
+BENCHMARK(BM_NodeSplitSearch)->Arg(0)->Arg(1);
 
 // Arg 0: estimate against a 2-partition `all`; arg 1: the exact score of the
 // same box; arg 2: estimate against 150 DT-like partitions tiling three

@@ -106,23 +106,8 @@ DTPartitioner::SplitChoice DTPartitioner::ChooseSplit(
     const Column* col = attr_columns_.at(attr);
     if (col->type() == DataType::kDouble) {
       // Candidate split points: quantiles of the node's sampled values.
-      std::vector<double> values;
-      for (const GroupSlice& g : node.groups) {
-        for (RowId r : g.sample.rows()) values.push_back(col->GetDouble(r));
-      }
-      if (values.size() < 2) return;
-      std::sort(values.begin(), values.end());
-      std::vector<double> candidates;
-      for (int q = 1; q <= options_.num_split_candidates; ++q) {
-        size_t pos = values.size() * static_cast<size_t>(q) /
-                     (static_cast<size_t>(options_.num_split_candidates) + 1);
-        pos = std::min(pos, values.size() - 1);
-        double v = values[pos];
-        if (v > values.front() && v <= values.back() &&
-            (candidates.empty() || candidates.back() != v)) {
-          candidates.push_back(v);
-        }
-      }
+      const std::vector<double> candidates =
+          RangeSplitCandidates(*col, slices, options_.num_split_candidates);
       // Combined metric: max over groups of weighted child std
       // (Section 6.1.3). The sweep scores every candidate in one pass over
       // the samples; the selection loop below stays serial in candidate
@@ -146,22 +131,8 @@ DTPartitioner::SplitChoice DTPartitioner::ChooseSplit(
       }
     } else {
       // Discrete: binary splits {v} vs rest, over the most frequent codes.
-      std::unordered_map<int32_t, size_t> freq;
-      for (const GroupSlice& g : node.groups) {
-        for (RowId r : g.sample.rows()) ++freq[col->GetCode(r)];
-      }
-      if (freq.size() < 2) return;
-      std::vector<std::pair<int32_t, size_t>> by_freq(freq.begin(), freq.end());
-      std::sort(by_freq.begin(), by_freq.end(),
-                [](const auto& a, const auto& b) {
-                  return a.second > b.second ||
-                         (a.second == b.second && a.first < b.first);
-                });
-      size_t limit = std::min<size_t>(
-          by_freq.size(), static_cast<size_t>(options_.max_discrete_split_values));
-      std::vector<int32_t> codes;
-      codes.reserve(limit);
-      for (size_t vi = 0; vi < limit; ++vi) codes.push_back(by_freq[vi].first);
+      const std::vector<int32_t> codes = DiscreteSplitCandidates(
+          *col, slices, options_.max_discrete_split_values);
       if (!codes.empty()) {
         const SplitEval eval =
             batched ? DiscreteSplitSweep(*col, slices, codes)

@@ -125,32 +125,35 @@ Result<Selection> Scorer::FilterGroup(const BoundPredicate& bound,
   return matched;
 }
 
+double Scorer::RemovedDelta(int result_idx,
+                            const std::vector<double>& removed_values) const {
+  ++stats_.incremental_deltas;
+  // These cannot fail for removable aggregates with well-formed states.
+  AggState removed = agg_->State(removed_values).ValueOrDie();
+  AggState remaining = agg_->Remove(states_[result_idx], removed).ValueOrDie();
+  if (problem_->influence_mode == InfluenceMode::kMeanShift) {
+    // Re-insert |matched| copies of the group mean. Our removable states
+    // are element-wise additive, so state(mean x n) = n * state([mean]).
+    AggState mean_state = agg_->State({group_means_[result_idx]}).ValueOrDie();
+    for (double& v : mean_state) {
+      v *= static_cast<double>(removed_values.size());
+    }
+    remaining = agg_->Update({remaining, mean_state}).ValueOrDie();
+  }
+  // original - updated; NaN propagates to signal an annihilated group.
+  return original_values_[result_idx] -
+         agg_->Recover(remaining).ValueOrDie();
+}
+
 double Scorer::Delta(int result_idx, const Selection& matched) const {
   ++stats_.group_deltas;
   if (matched.empty()) return 0.0;
-  const AggregateResult& res = result_->results[result_idx];
-  const bool mean_shift =
-      problem_->influence_mode == InfluenceMode::kMeanShift;
-  double updated;
   if (incremental_) {
-    ++stats_.incremental_deltas;
-    const std::vector<double> removed_values =
-        ExtractValues(*agg_col_, matched);
-    // These cannot fail for removable aggregates with well-formed states.
-    AggState removed = agg_->State(removed_values).ValueOrDie();
-    AggState remaining = agg_->Remove(states_[result_idx], removed).ValueOrDie();
-    if (mean_shift) {
-      // Re-insert |matched| copies of the group mean. Our removable states
-      // are element-wise additive, so state(mean x n) = n * state([mean]).
-      AggState mean_state =
-          agg_->State({group_means_[result_idx]}).ValueOrDie();
-      for (double& v : mean_state) {
-        v *= static_cast<double>(matched.size());
-      }
-      remaining = agg_->Update({remaining, mean_state}).ValueOrDie();
-    }
-    updated = agg_->Recover(remaining).ValueOrDie();
-  } else if (mean_shift) {
+    return RemovedDelta(result_idx, ExtractValues(*agg_col_, matched));
+  }
+  const AggregateResult& res = result_->results[result_idx];
+  double updated;
+  if (problem_->influence_mode == InfluenceMode::kMeanShift) {
     const RowIdList& group_rows = res.input_group.rows();
     const RowIdList& matched_rows = matched.rows();
     std::vector<double> values = ExtractValues(*agg_col_, group_rows);
@@ -579,17 +582,23 @@ Scorer::BuildMatchCacheExtended(const Predicate& pred,
 
 double Scorer::TupleInfluence(int result_idx, RowId row) const {
   ++stats_.tuple_scores;
-  const Selection single = Selection::Single(row, table_->num_rows());
+  double delta;
+  if (incremental_) {
+    // Delta's removable path for a one-row bag, read straight from the
+    // column: no Selection, no gather.
+    ++stats_.group_deltas;
+    delta = RemovedDelta(result_idx, {agg_col_->GetDouble(row)});
+  } else {
+    delta = Delta(result_idx, Selection::Single(row, table_->num_rows()));
+  }
+  if (!std::isfinite(delta)) return kNegInf;
   auto it = std::find(problem_->outliers.begin(), problem_->outliers.end(),
                       result_idx);
   if (it != problem_->outliers.end()) {
     size_t pos = static_cast<size_t>(it - problem_->outliers.begin());
-    double delta = Delta(result_idx, single);
-    if (!std::isfinite(delta)) return kNegInf;
     return delta * problem_->error_vectors[pos];
   }
-  double delta = Delta(result_idx, single);
-  return std::isfinite(delta) ? delta : kNegInf;
+  return delta;
 }
 
 double Scorer::RowSetInfluence(int result_idx, const Selection& rows) const {

@@ -290,6 +290,11 @@ class Scorer {
   /// Delta(result, matched rows) with sign = original - updated.
   double Delta(int result_idx, const Selection& matched) const;
 
+  /// Delta's removable-aggregate path over the matched rows' values:
+  /// state/remove/recover against the group's cached state.
+  double RemovedDelta(int result_idx,
+                      const std::vector<double>& removed_values) const;
+
   /// Influence contribution of one result given its matched rows.
   /// For outliers multiplies by the error vector; hold-outs return the raw
   /// signed influence (callers take |.|).

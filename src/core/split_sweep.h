@@ -7,8 +7,9 @@
 // through memory K times. The sweep path loads each row's attribute value
 // once and updates every candidate's accumulators from it: for a range
 // split, a row with value v goes LEFT of exactly the ascending thresholds
-// greater than v (a suffix, found with one upper_bound); for a discrete
-// split, it goes LEFT of exactly the candidate whose code it carries.
+// greater than v (a suffix, found with one branch-free upper bound); for a
+// discrete split, it goes LEFT of exactly the candidate whose code it
+// carries.
 //
 // Bit-identity contract (differential-tested in test_candidate_batch.cc):
 // the sweep produces, for every candidate, the exact same doubles as the
@@ -18,8 +19,11 @@
 // within each group (the outer row loop preserves it), counts are exact
 // integers, and the cross-group max is taken in group order (std::max of
 // two doubles is exact, and the comparison sequence matches the
-// reference's group-inner loop). Shortcuts that would change the
-// association (bucket histograms + suffix sums) are deliberately NOT used.
+// reference's group-inner loop). The fixed-K range passes (K <= 4, the DT
+// default is 3) also add +0.0 to the accumulators of the side a row is
+// not on, which leaves every accumulator's bits unchanged (see
+// RangeSumPassK). Shortcuts that would change the association (bucket
+// histograms + suffix sums) are deliberately NOT used.
 #pragma once
 
 #include <cstddef>
@@ -56,6 +60,30 @@ struct SplitEval {
   /// Sampled rows going left / right, summed over groups.
   std::vector<size_t> total_left, total_right;
 };
+
+/// Range split candidates (Section 6.1.1): the values at quantile positions
+/// n*q/(K+1), q = 1..K, of the groups' sampled non-NaN values. A value is
+/// kept only when it is above the sample minimum, at most the maximum, and
+/// different (==) from the previous candidate, so the result is strictly
+/// ascending — the order RangeSplitSweep requires. NaNs never enter the
+/// pool: the sweep already sends NaN rows right of every threshold. Fewer
+/// than two non-NaN values give no candidates.
+///
+/// Linear in the sample: min and max come from the gather pass, then each
+/// quantile position, in ascending order, is one nth_element over the
+/// suffix the previous position left unordered. Order statistics do not
+/// depend on how the rest of the pool is arranged, so the candidates equal
+/// those read off a full sort (tests/reference/split_candidates.h).
+std::vector<double> RangeSplitCandidates(const Column& col,
+                                         const std::vector<SplitGroup>& groups,
+                                         int num_candidates);
+
+/// Discrete split candidates: the (up to) `max_values` most frequent codes
+/// in the groups' sampled rows, in (frequency descending, code ascending)
+/// order. Fewer than two distinct codes give no candidates. Counts live in
+/// a dense per-code array and only the top `max_values` are ordered.
+std::vector<int32_t> DiscreteSplitCandidates(
+    const Column& col, const std::vector<SplitGroup>& groups, int max_values);
 
 /// Reference range evaluation: per candidate threshold t, rows with
 /// value < t go left. One full pass over every group per candidate —

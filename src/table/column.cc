@@ -1,6 +1,8 @@
 #include "table/column.h"
 
-#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -99,7 +101,11 @@ Result<double> Column::Min() const {
   if (doubles_.empty()) {
     return Status::InvalidArgument("Min() on an empty column");
   }
-  return *std::min_element(doubles_.begin(), doubles_.end());
+  double lo = std::numeric_limits<double>::quiet_NaN();
+  for (double v : doubles_) {
+    if (std::isnan(lo) || v < lo) lo = v;
+  }
+  return lo;
 }
 
 Result<double> Column::Max() const {
@@ -109,7 +115,11 @@ Result<double> Column::Max() const {
   if (doubles_.empty()) {
     return Status::InvalidArgument("Max() on an empty column");
   }
-  return *std::max_element(doubles_.begin(), doubles_.end());
+  double hi = std::numeric_limits<double>::quiet_NaN();
+  for (double v : doubles_) {
+    if (std::isnan(hi) || v > hi) hi = v;
+  }
+  return hi;
 }
 
 }  // namespace scorpion

@@ -79,9 +79,10 @@ class Column {
 
   // --- Statistics ----------------------------------------------------------
 
-  /// Min/max over a kDouble column (over all rows). InvalidArgument on an
-  /// empty or categorical column: min/max of no values is undefined, and
-  /// the old (0, 0) answer silently poisoned domain computations.
+  /// Min/max over a kDouble column's non-NaN values (NaN only when every
+  /// value is NaN). InvalidArgument on an empty or categorical column:
+  /// min/max of no values is undefined, and the old (0, 0) answer silently
+  /// poisoned domain computations.
   Result<double> Min() const;
   Result<double> Max() const;
 

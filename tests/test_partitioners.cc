@@ -3,13 +3,18 @@
 // MC property gating and pruning counters.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "core/dt.h"
 #include "core/mc.h"
 #include "core/naive.h"
 #include "eval/experiment.h"
+#include "query/groupby.h"
 #include "table/selection.h"
 #include "workload/synth.h"
 
@@ -172,6 +177,68 @@ TEST(DTPartitioner, LeavesCarryPartitionInfo) {
     expected += inst.qr.results[idx].input_group.size();
   }
   EXPECT_EQ(total_count, expected);
+}
+
+// CSV parsing accepts "nan", so a range attribute can hold NaNs. They stay
+// out of the split-candidate pool and out of the attribute's domain (no
+// NaN ever becomes a clause bound, even when the column's first row is
+// NaN) and, like every `v < split` test they fail, follow the right child;
+// the tree must still account for every outlier row exactly once.
+TEST(DTPartitioner, RangeAttributeWithNaNs) {
+  Rng rng(23);
+  Table table(Schema({{"hour", DataType::kCategorical},
+                      {"x", DataType::kDouble},
+                      {"y", DataType::kDouble},
+                      {"temp", DataType::kDouble}}));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int h = 0; h < 4; ++h) {
+    for (int i = 0; i < 300; ++i) {
+      const double x = rng.Uniform(0.0, 100.0);
+      const double y = rng.Uniform(0.0, 100.0);
+      // Hour 2's rows with x < 30 are the planted outliers.
+      const double temp = (h == 2 && x < 30.0) ? rng.Uniform(80.0, 90.0)
+                                               : rng.Uniform(20.0, 25.0);
+      const double x_stored = rng.Bernoulli(0.25) ? nan : x;
+      ASSERT_TRUE(table
+                      .AppendRow({"h" + std::to_string(h), x_stored,
+                                  i % 7 == 0 ? nan : y, temp})
+                      .ok());
+    }
+  }
+  GroupByQuery query;
+  query.aggregate = "AVG";
+  query.agg_attr = "temp";
+  query.group_by = {"hour"};
+  QueryResult qr = ExecuteGroupBy(table, query).ValueOrDie();
+  ProblemSpec problem =
+      MakeProblem(qr, {"h2"}, {}, 1.0, 0.5, 0.5, {"x", "y"}).ValueOrDie();
+  auto scorer = Scorer::Make(table, qr, problem);
+  ASSERT_TRUE(scorer.ok());
+
+  auto run = [&] {
+    DTPartitioner dt(*scorer, DTOptions{});
+    auto parts = dt.Run();
+    EXPECT_TRUE(parts.ok());
+    return parts.ok() ? *parts : std::vector<ScoredPredicate>{};
+  };
+  const std::vector<ScoredPredicate> parts = run();
+  ASSERT_GT(parts.size(), 1u);
+  uint64_t total_count = 0;
+  for (const ScoredPredicate& sp : parts) {
+    for (const RangeClause& rc : sp.pred.ranges()) {
+      EXPECT_FALSE(std::isnan(rc.lo)) << sp.pred.ToString();
+      EXPECT_FALSE(std::isnan(rc.hi)) << sp.pred.ToString();
+    }
+    ASSERT_EQ(sp.info.outlier_counts.size(), 1u);
+    total_count += sp.info.outlier_counts[0];
+  }
+  EXPECT_EQ(total_count, qr.results[problem.outliers[0]].input_group.size());
+  // Deterministic: a second run over the same scorer splits identically.
+  const std::vector<ScoredPredicate> again = run();
+  ASSERT_EQ(again.size(), parts.size());
+  for (size_t i = 0; i < parts.size(); ++i) {
+    EXPECT_EQ(again[i].pred.ToString(), parts[i].pred.ToString());
+  }
 }
 
 TEST(DTPartitioner, RequiresIndependentAggregate) {

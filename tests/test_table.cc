@@ -1,6 +1,9 @@
 // Table, Schema and Column behaviour.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "table/table.h"
 #include "test_helpers.h"
 
@@ -28,6 +31,20 @@ TEST(Column, DoubleAppendAndStats) {
   EXPECT_DOUBLE_EQ(col.Max().ValueOrDie(), 7.0);
   EXPECT_DOUBLE_EQ(col.GetDouble(1), -1.0);
   EXPECT_TRUE(col.AppendString("x").IsTypeError());
+}
+
+TEST(Column, MinMaxSkipNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Column col(DataType::kDouble);
+  for (double v : {nan, 3.0, nan, -1.0, 7.0, nan}) {
+    EXPECT_TRUE(col.AppendDouble(v).ok());
+  }
+  EXPECT_EQ(col.Min().ValueOrDie(), -1.0);
+  EXPECT_EQ(col.Max().ValueOrDie(), 7.0);
+  Column all_nan(DataType::kDouble);
+  EXPECT_TRUE(all_nan.AppendDouble(nan).ok());
+  EXPECT_TRUE(std::isnan(all_nan.Min().ValueOrDie()));
+  EXPECT_TRUE(std::isnan(all_nan.Max().ValueOrDie()));
 }
 
 TEST(Column, MinMaxErrorOnEmptyOrCategorical) {
