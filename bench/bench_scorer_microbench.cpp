@@ -247,9 +247,9 @@ BENCHMARK(BM_SplitSearch)->Arg(0)->Arg(1);
 // The same A/B in the shape a DT node hands the sweep: 48 groups of about
 // 70 sampled rows each (row-id ordered, values uniformly random, so no
 // clustering for a partition cache to exploit) and the k = 3 quantile
-// candidates RangeSplitCandidates picks from them. Per-row partitioning
-// dominates at this k, which is what BM_SplitSearch's K = 32 clustered
-// case does not show. Same checksums and labels; Arg(1) = batched.
+// candidates RangeSplitCandidates picks from them: unclustered rows at a
+// small k, which BM_SplitSearch's K = 32 clustered case does not show.
+// Same checksums and labels; Arg(1) = batched.
 void BM_NodeSplitSearch(benchmark::State& state) {
   constexpr size_t kRows = 1 << 16;
   constexpr size_t kGroups = 48;

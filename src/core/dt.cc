@@ -80,7 +80,8 @@ void DTPartitioner::PopulateSample(GroupSlice* slice, double rate,
 }
 
 DTPartitioner::SplitChoice DTPartitioner::ChooseSplit(
-    const Node& node, double parent_metric) const {
+    const Node& node, double parent_metric,
+    std::vector<std::vector<uint32_t>>* code_counts) const {
   // Attributes are scored independently (in parallel when a pool is
   // attached); the cross-attribute argmin below stays serial in attribute
   // order, and strict < on the metric reproduces the serial tie-break (first
@@ -131,8 +132,10 @@ DTPartitioner::SplitChoice DTPartitioner::ChooseSplit(
       }
     } else {
       // Discrete: binary splits {v} vs rest, over the most frequent codes.
-      const std::vector<int32_t> codes = DiscreteSplitCandidates(
-          *col, slices, options_.max_discrete_split_values);
+      const std::vector<int32_t> codes =
+          DiscreteSplitCandidates(*col, slices,
+                                  options_.max_discrete_split_values,
+                                  &(*code_counts)[ai]);
       if (!codes.empty()) {
         const SplitEval eval =
             batched ? DiscreteSplitSweep(*col, slices, codes)
@@ -244,6 +247,10 @@ Result<std::vector<ScoredPredicate>> DTPartitioner::PartitionGroups(
     return leaves;
   }
 
+  // Per-attribute code-count scratch for the discrete split candidates,
+  // kept across nodes so each node pays for its sample, not the dictionary.
+  std::vector<std::vector<uint32_t>> code_counts(
+      scorer_.problem().attributes.size());
   std::deque<Node> queue;
   queue.push_back(std::move(root));
   while (!queue.empty()) {
@@ -283,7 +290,7 @@ Result<std::vector<ScoredPredicate>> DTPartitioner::PartitionGroups(
                 node.depth >= options_.max_depth;
     SplitChoice split;
     if (!stop) {
-      split = ChooseSplit(node, parent_metric);
+      split = ChooseSplit(node, parent_metric, &code_counts);
       stop = !split.valid;
     }
     if (stop) {

@@ -14,6 +14,7 @@
 // |p(g)| = 1), which is what makes cross-c caching possible (Section 8.3.3).
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -81,7 +82,11 @@ class DTPartitioner {
   /// memoizing per-tuple influence across the whole run.
   void PopulateSample(GroupSlice* slice, double rate, bool is_outlier);
 
-  SplitChoice ChooseSplit(const Node& node, double parent_metric) const;
+  /// `code_counts` holds one all-zero count array per problem attribute,
+  /// reused across nodes by DiscreteSplitCandidates.
+  SplitChoice ChooseSplit(
+      const Node& node, double parent_metric,
+      std::vector<std::vector<uint32_t>>* code_counts) const;
 
   /// Emits a leaf's ScoredPredicate (with PartitionInfo when is_outlier).
   ScoredPredicate MakeLeaf(const Node& node, bool is_outlier) const;

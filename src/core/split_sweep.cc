@@ -134,71 +134,6 @@ void RangeDevPass(const double* __restrict__ xs,
   }
 }
 
-/// Fixed-K forms of the two range passes, for the few thresholds a DT node
-/// produces (num_split_candidates is 3 by default). With K known the
-/// accumulators stay in registers, and each row updates every one of them
-/// through a select instead of a data-dependent loop: x (or d * d) on its
-/// side, +0.0 on the other. Adding +0.0 is an exact identity here: every
-/// accumulator starts at +0.0, and a round-to-nearest sum is -0.0 only when
-/// both addends are, so no accumulator is ever -0.0, and s + 0.0 == s bit
-/// for bit for every other s (finite, infinite or NaN). Each accumulator
-/// therefore ends with the same bits as in the loop forms above. ln[j]
-/// counts the rows left of threshold j directly (no prefix sum).
-template <size_t K>
-SCORPION_SWEEP_CLONES void RangeSumPassK(const double* __restrict__ xs,
-                                         const uint32_t* __restrict__ part,
-                                         size_t n, double* __restrict__ lsum,
-                                         double* __restrict__ rsum,
-                                         size_t* __restrict__ ln) {
-  double l[K] = {}, r[K] = {};
-  size_t c[K] = {};
-  for (size_t i = 0; i < n; ++i) {
-    const double x = xs[i];
-    const size_t p = part[i];
-    for (size_t j = 0; j < K; ++j) {
-      const bool left = j >= p;
-      l[j] += left ? x : 0.0;
-      r[j] += left ? 0.0 : x;
-      c[j] += static_cast<size_t>(left);
-    }
-  }
-  for (size_t j = 0; j < K; ++j) {
-    lsum[j] = l[j];
-    rsum[j] = r[j];
-    ln[j] = c[j];
-  }
-}
-
-template <size_t K>
-SCORPION_SWEEP_CLONES void RangeDevPassK(const double* __restrict__ xs,
-                                         const uint32_t* __restrict__ part,
-                                         size_t n,
-                                         const double* __restrict__ lmean,
-                                         const double* __restrict__ rmean,
-                                         double* __restrict__ lss,
-                                         double* __restrict__ rss) {
-  double lm[K], rm[K], l[K] = {}, r[K] = {};
-  for (size_t j = 0; j < K; ++j) {
-    lm[j] = lmean[j];
-    rm[j] = rmean[j];
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const double x = xs[i];
-    const size_t p = part[i];
-    for (size_t j = 0; j < K; ++j) {
-      const bool left = j >= p;
-      const double dl = x - lm[j];
-      const double dr = x - rm[j];
-      l[j] += left ? dl * dl : 0.0;
-      r[j] += left ? 0.0 : dr * dr;
-    }
-  }
-  for (size_t j = 0; j < K; ++j) {
-    lss[j] = l[j];
-    rss[j] = r[j];
-  }
-}
-
 /// Discrete pass 1: a row is left of exactly the candidate m carrying its
 /// code. The j loop split around m keeps every accumulator's addition
 /// order identical to the branchy j == m form while letting the rsum runs
@@ -305,40 +240,6 @@ void ComputeMeans(SweepScratch* s, size_t n) {
   }
 }
 
-/// One group's range accumulators from its rows' partitions: pass 1 (sums
-/// and left counts in row order), the means, then pass 2 (squared
-/// deviations in row order), so every accumulator receives the same
-/// additions in the same order as the reference's push-then-sum.
-template <size_t K>
-void RangeGroupPassesK(const double* xs, const uint32_t* part, size_t n,
-                       SweepScratch* s) {
-  RangeSumPassK<K>(xs, part, n, s->lsum.data(), s->rsum.data(),
-                   s->ln.data());
-  ComputeMeans(s, n);
-  RangeDevPassK<K>(xs, part, n, s->lmean.data(), s->rmean.data(),
-                   s->lss.data(), s->rss.data());
-}
-
-void RangeGroupPasses(const double* xs, const uint32_t* part, size_t n,
-                      SweepScratch* s) {
-  const size_t k = s->ln.size();
-  switch (k) {
-    case 1: return RangeGroupPassesK<1>(xs, part, n, s);
-    case 2: return RangeGroupPassesK<2>(xs, part, n, s);
-    case 3: return RangeGroupPassesK<3>(xs, part, n, s);
-    case 4: return RangeGroupPassesK<4>(xs, part, n, s);
-    default: break;
-  }
-  size_t* ln = s->ln.data();
-  RangeSumPass(xs, part, n, k, s->lsum.data(), s->rsum.data(), ln);
-  // ln[p] counted only the first threshold the row lands left of; a left
-  // row is left of the whole suffix, so prefix-sum the counts.
-  for (size_t j = 1; j < k; ++j) ln[j] += ln[j - 1];
-  ComputeMeans(s, n);
-  RangeDevPass(xs, part, n, k, s->lmean.data(), s->rmean.data(),
-               s->lss.data(), s->rss.data());
-}
-
 /// Upper bound of `v` in the ascending `t[0..k)`, k >= 1: the index of the
 /// first threshold greater than v (k when none is). The trip count depends
 /// on k only and each step is a select, not a branch, so the per-row cost
@@ -400,9 +301,12 @@ std::vector<double> RangeSplitCandidates(const Column& col,
 }
 
 std::vector<int32_t> DiscreteSplitCandidates(
-    const Column& col, const std::vector<SplitGroup>& groups, int max_values) {
+    const Column& col, const std::vector<SplitGroup>& groups, int max_values,
+    std::vector<uint32_t>* counts) {
   const int32_t* codes = col.codes().data();
-  std::vector<uint32_t> freq(static_cast<size_t>(col.Cardinality()), 0);
+  std::vector<uint32_t>& freq = *counts;
+  const size_t card = static_cast<size_t>(col.Cardinality());
+  if (freq.size() < card) freq.resize(card, 0);
   std::vector<int32_t> present;  // distinct codes, first-seen order
   for (const SplitGroup& g : groups) {
     for (RowId r : *g.rows) {
@@ -410,18 +314,21 @@ std::vector<int32_t> DiscreteSplitCandidates(
       if (freq[static_cast<size_t>(c)]++ == 0) present.push_back(c);
     }
   }
-  if (present.size() < 2) return {};
-  const size_t limit =
-      std::min(present.size(), static_cast<size_t>(max_values));
-  // A total order (codes are distinct), so the top `limit` and their order
-  // do not depend on the first-seen order of `present`.
-  std::partial_sort(present.begin(),
-                    present.begin() + static_cast<ptrdiff_t>(limit),
-                    present.end(), [&](int32_t a, int32_t b) {
-                      const uint32_t fa = freq[static_cast<size_t>(a)];
-                      const uint32_t fb = freq[static_cast<size_t>(b)];
-                      return fa > fb || (fa == fb && a < b);
-                    });
+  size_t limit = 0;
+  if (present.size() >= 2) {
+    limit = std::min(present.size(), static_cast<size_t>(max_values));
+    // A total order (codes are distinct), so the top `limit` and their
+    // order do not depend on the first-seen order of `present`.
+    std::partial_sort(present.begin(),
+                      present.begin() + static_cast<ptrdiff_t>(limit),
+                      present.end(), [&](int32_t a, int32_t b) {
+                        const uint32_t fa = freq[static_cast<size_t>(a)];
+                        const uint32_t fb = freq[static_cast<size_t>(b)];
+                        return fa > fb || (fa == fb && a < b);
+                      });
+  }
+  // Hand the scratch back all zero, touching only the codes this call set.
+  for (int32_t c : present) freq[static_cast<size_t>(c)] = 0;
   present.resize(limit);
   return present;
 }
@@ -468,7 +375,17 @@ SplitEval RangeSplitSweep(const Column& col,
     for (size_t i = 0; i < n; ++i) {
       part[i] = UpperBoundBranchFree(t, k, values[rows[i]]);
     }
-    RangeGroupPasses(xs, part, n, &s);
+    size_t* ln = s.ln.data();
+    // Pass 1 in row order: every candidate's left/right sum receives the
+    // same additions in the same order as the reference's push-then-sum.
+    RangeSumPass(xs, part, n, k, s.lsum.data(), s.rsum.data(), ln);
+    // ln[p] counted only the first threshold the row lands left of; a left
+    // row is left of the whole suffix, so prefix-sum the counts.
+    for (size_t j = 1; j < k; ++j) ln[j] += ln[j - 1];
+    ComputeMeans(&s, n);
+    // Pass 2 in row order: squared deviations against the fixed means.
+    RangeDevPass(xs, part, n, k, s.lmean.data(), s.rmean.data(),
+                 s.lss.data(), s.rss.data());
     FoldGroup(s, n, &eval);
   }
   return eval;

@@ -19,11 +19,8 @@
 // within each group (the outer row loop preserves it), counts are exact
 // integers, and the cross-group max is taken in group order (std::max of
 // two doubles is exact, and the comparison sequence matches the
-// reference's group-inner loop). The fixed-K range passes (K <= 4, the DT
-// default is 3) also add +0.0 to the accumulators of the side a row is
-// not on, which leaves every accumulator's bits unchanged (see
-// RangeSumPassK). Shortcuts that would change the association (bucket
-// histograms + suffix sums) are deliberately NOT used.
+// reference's group-inner loop). Shortcuts that would change the
+// association (bucket histograms + suffix sums) are deliberately NOT used.
 #pragma once
 
 #include <cstddef>
@@ -82,8 +79,15 @@ std::vector<double> RangeSplitCandidates(const Column& col,
 /// in the groups' sampled rows, in (frequency descending, code ascending)
 /// order. Fewer than two distinct codes give no candidates. Counts live in
 /// a dense per-code array and only the top `max_values` are ordered.
+///
+/// `counts` is that array, owned by the caller: all zero on entry (empty is
+/// fine) and handed back all zero, with only the codes the sample carries
+/// touched. It grows to the column's cardinality on first use, so a caller
+/// that keeps it across nodes pays O(cardinality) once and O(sample) per
+/// call.
 std::vector<int32_t> DiscreteSplitCandidates(
-    const Column& col, const std::vector<SplitGroup>& groups, int max_values);
+    const Column& col, const std::vector<SplitGroup>& groups, int max_values,
+    std::vector<uint32_t>* counts);
 
 /// Reference range evaluation: per candidate threshold t, rows with
 /// value < t go left. One full pass over every group per candidate —

@@ -175,6 +175,9 @@ TEST(SplitCandidates, NaNsNeverEnterThePool) {
 TEST(SplitCandidates, DiscreteMatchesSortReference) {
   Rng rng(109);
   const int limits[] = {0, 1, 3, 10, 100};
+  // One count scratch across every trial, as DT keeps one per attribute
+  // across nodes: each call must hand it back all zero.
+  std::vector<uint32_t> counts;
   for (int trial = 0; trial < 2000; ++trial) {
     const int32_t card = static_cast<int32_t>(rng.UniformInt(1, 40));
     const size_t n = static_cast<size_t>(rng.UniformInt(0, 500));
@@ -202,9 +205,12 @@ TEST(SplitCandidates, DiscreteMatchesSortReference) {
     std::vector<SplitGroup> views;
     for (size_t g = 0; g < 3; ++g) views.push_back({&rows[g], &inf[g]});
     const int max_values = limits[trial % 5];
-    EXPECT_EQ(DiscreteSplitCandidates(col, views, max_values),
+    EXPECT_EQ(DiscreteSplitCandidates(col, views, max_values, &counts),
               reference::DiscreteSplitCandidates(col, views, max_values))
         << "trial=" << trial << " card=" << card << " n=" << n;
+    EXPECT_TRUE(std::all_of(counts.begin(), counts.end(),
+                            [](uint32_t c) { return c == 0; }))
+        << "trial=" << trial;
   }
 }
 
@@ -222,14 +228,18 @@ TEST(SplitCandidates, DiscreteTieBreaksOnCode) {
     inf.push_back(0.0);
   }
   const std::vector<SplitGroup> views = {{&rows, &inf}};
-  EXPECT_EQ(DiscreteSplitCandidates(col, views, 10),
+  std::vector<uint32_t> counts;
+  EXPECT_EQ(DiscreteSplitCandidates(col, views, 10, &counts),
             (std::vector<int32_t>{1, 2, 0, 3}));
-  EXPECT_EQ(DiscreteSplitCandidates(col, views, 2),
+  EXPECT_EQ(DiscreteSplitCandidates(col, views, 2, &counts),
             (std::vector<int32_t>{1, 2}));
   // One distinct code: no binary split.
   const RowIdList only_a = {0, 6};
   const std::vector<double> two_inf = {0.0, 0.0};
-  EXPECT_TRUE(DiscreteSplitCandidates(col, {{&only_a, &two_inf}}, 10).empty());
+  EXPECT_TRUE(
+      DiscreteSplitCandidates(col, {{&only_a, &two_inf}}, 10, &counts)
+          .empty());
+  EXPECT_EQ(counts, std::vector<uint32_t>(4, 0));
 }
 
 // The sweep's branch-free partition must give the same p as upper_bound
