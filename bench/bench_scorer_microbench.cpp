@@ -7,6 +7,8 @@
 //  * the Merger's cached-tuple estimate vs. an exact score (Section 6.3);
 //  * the DT split sweep, batched vs. per-candidate, on a clustered column
 //    with many thresholds and on a DT node's shape;
+//  * DT's range split candidates in sensor_live's shape, checked against
+//    the full-sort rule;
 //  * a whole Merger::Run over DT partitions, with its per-run memo's
 //    counters.
 //
@@ -17,6 +19,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -315,6 +318,72 @@ void BM_NodeSplitSearch(benchmark::State& state) {
   state.SetLabel(batched ? "batched" : "unbatched");
 }
 BENCHMARK(BM_NodeSplitSearch)->Arg(0)->Arg(1);
+
+// Range split candidates (RangeSplitCandidates' radix select) in the shape
+// sensor_live's DT root hands them: 24 groups of about 1,440 row-id-ordered
+// rows and K = 3, over sensor-like readings rounded to 1 decimal (heavy
+// duplicates; Arg(0)) or 4 decimals (Arg(1)). The counters checksum the
+// library's candidates and those of the full-sort rule computed here, so
+// CI can assert they agree.
+void BM_SplitCandidates(benchmark::State& state) {
+  constexpr size_t kGroups = 24;
+  constexpr size_t kRowsPerGroup = 1440;
+  constexpr int kCandidates = 3;
+  const double scale = state.range(0) == 0 ? 10.0 : 10000.0;
+  Column col(DataType::kDouble);
+  Rng rng(43);
+  for (size_t i = 0; i < kGroups * kRowsPerGroup; ++i) {
+    const double reading =
+        20.0 + 5.0 * std::sin(static_cast<double>(i) * 1e-3) +
+        rng.Uniform(-2.0, 2.0);
+    (void)col.AppendDouble(std::round(reading * scale) / scale);
+  }
+  std::vector<RowIdList> rows(kGroups);
+  std::vector<std::vector<double>> infs(kGroups);
+  for (size_t i = 0; i < kGroups * kRowsPerGroup; ++i) {
+    rows[i % kGroups].push_back(static_cast<RowId>(i));
+    infs[i % kGroups].push_back(0.0);
+  }
+  std::vector<SplitGroup> groups;
+  for (size_t g = 0; g < kGroups; ++g) groups.push_back({&rows[g], &infs[g]});
+  std::vector<double> candidates;
+  for (auto _ : state) {
+    candidates = RangeSplitCandidates(col, groups, kCandidates);
+    benchmark::DoNotOptimize(candidates.data());
+  }
+  // The full-sort rule: quantile positions read off the sorted pool.
+  std::vector<double> pool;
+  for (const RowIdList& r : rows) {
+    for (RowId row : r) pool.push_back(col.GetDouble(row));
+  }
+  std::sort(pool.begin(), pool.end());
+  std::vector<double> sorted_rule;
+  for (int q = 1; q <= kCandidates; ++q) {
+    const size_t pos = std::min(pool.size() * static_cast<size_t>(q) /
+                                    static_cast<size_t>(kCandidates + 1),
+                                pool.size() - 1);
+    const double v = pool[pos];
+    if (v > pool.front() && v <= pool.back() &&
+        (sorted_rule.empty() || sorted_rule.back() != v)) {
+      sorted_rule.push_back(v);
+    }
+  }
+  auto checksum = [](const std::vector<double>& c) {
+    double sum = 0.0;
+    for (size_t i = 0; i < c.size(); ++i) {
+      sum += static_cast<double>(i + 1) * c[i];
+    }
+    return sum;
+  };
+  state.counters["candidate_checksum"] = checksum(candidates);
+  state.counters["sort_checksum"] = checksum(sorted_rule);
+  state.counters["candidates"] = static_cast<double>(candidates.size());
+  state.counters["sort_candidates"] = static_cast<double>(sorted_rule.size());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(pool.size()));
+  state.SetLabel(state.range(0) == 0 ? "1-decimal" : "4-decimal");
+}
+BENCHMARK(BM_SplitCandidates)->Arg(0)->Arg(1);
 
 // Arg 0: estimate against a 2-partition `all`; arg 1: the exact score of the
 // same box; arg 2: estimate against 150 DT-like partitions tiling three

@@ -12,10 +12,13 @@
 //    data passes a declared check(D), enabling MC pruning (Section 5.3).
 #pragma once
 
+#include <cstddef>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/macros.h"
 #include "common/result.h"
 #include "table/column.h"
 #include "table/selection.h"
@@ -24,7 +27,69 @@ namespace scorpion {
 
 /// Constant-size summary tuple (the paper's m_D). For example AVG's state is
 /// [sum, count].
-using AggState = std::vector<double>;
+///
+/// Held inline, never on the heap: at most kCapacity entries, which covers
+/// every built-in removable aggregate (VARIANCE's [sum, sum_sq, count] is
+/// the largest). It keeps the small vector surface its callers use. Going
+/// past the capacity through the braces or assign() is a checked error
+/// (abort); an aggregate that sizes its state at run time builds it with
+/// FromValues, which returns a Status instead.
+class AggState {
+ public:
+  static constexpr size_t kCapacity = 4;
+
+  AggState() = default;
+  AggState(std::initializer_list<double> values) {  // NOLINT(runtime/explicit)
+    CopyFrom(values.begin(), values.size());
+  }
+
+  /// The state holding values[0..n), or InvalidArgument past kCapacity.
+  static Result<AggState> FromValues(const double* values, size_t n) {
+    if (n > kCapacity) {
+      return Status::InvalidArgument(
+          "aggregate state has " + std::to_string(n) +
+          " entries; AggState holds at most " + std::to_string(kCapacity));
+    }
+    AggState state;
+    state.CopyFrom(values, n);
+    return state;
+  }
+
+  /// n copies of `value`, like std::vector::assign.
+  void assign(size_t n, double value) {
+    SCORPION_CHECK(n <= kCapacity, "AggState capacity exceeded");
+    size_ = n;
+    for (size_t i = 0; i < n; ++i) values_[i] = value;
+  }
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  double& operator[](size_t i) { return values_[i]; }
+  const double& operator[](size_t i) const { return values_[i]; }
+  double* begin() { return values_; }
+  double* end() { return values_ + size_; }
+  const double* begin() const { return values_; }
+  const double* end() const { return values_ + size_; }
+
+  /// Same size and element-wise ==, like std::vector.
+  friend bool operator==(const AggState& a, const AggState& b) {
+    if (a.size_ != b.size_) return false;
+    for (size_t i = 0; i < a.size_; ++i) {
+      if (!(a.values_[i] == b.values_[i])) return false;
+    }
+    return true;
+  }
+
+ private:
+  void CopyFrom(const double* values, size_t n) {
+    SCORPION_CHECK(n <= kCapacity, "AggState capacity exceeded");
+    size_ = n;
+    for (size_t i = 0; i < n; ++i) values_[i] = values[i];
+  }
+
+  double values_[kCapacity] = {};
+  size_t size_ = 0;
+};
 
 /// \brief Base class for aggregate operators.
 ///

@@ -50,33 +50,57 @@ void DTPartitioner::PopulateSample(GroupSlice* slice, double rate,
   }
   stats_.sampled_tuples += slice->sample.size();
 
-  // Influence per sampled row: cache hits resolve serially, misses compute
-  // in parallel (Scorer::TupleInfluence only touches immutable caches and
-  // atomic counters), then the memo is filled back serially.
+  // Influence per sampled row. Without sampling every slice is populated
+  // once (children inherit their parent's influences), so nothing could
+  // hit a memo and none is kept. With sampling, resampled children redraw
+  // tuples already scored: memo hits resolve serially, misses are scored,
+  // then the memo is filled back serially.
   const RowIdList& sampled = slice->sample.rows();
-  const size_t num_sampled = sampled.size();
-  slice->inf.assign(num_sampled, 0.0);
+  slice->inf.resize(sampled.size());
+  if (!options_.use_sampling) {
+    ScoreTuples(slice->result_idx, sampled.data(), sampled.size(), is_outlier,
+                slice->inf.data());
+    return;
+  }
   std::vector<size_t> misses;
-  for (size_t i = 0; i < num_sampled; ++i) {
+  RowIdList miss_rows;
+  for (size_t i = 0; i < sampled.size(); ++i) {
     auto it = influence_cache_.find(CacheKey(slice->result_idx, sampled[i]));
     if (it != influence_cache_.end()) {
       slice->inf[i] = it->second;
     } else {
       misses.push_back(i);
+      miss_rows.push_back(sampled[i]);
     }
   }
-  stats_.tuple_influences += misses.size();
-  ParallelForOver(scorer_.thread_pool(), 0, misses.size(), [&](size_t j) {
-    const size_t i = misses[j];
-    double inf = scorer_.TupleInfluence(slice->result_idx, sampled[i]);
-    if (!is_outlier) inf = std::fabs(inf);  // hold-outs penalize any change
-    if (!std::isfinite(inf)) inf = 0.0;
-    slice->inf[i] = inf;
-  });
-  for (size_t i : misses) {
-    influence_cache_.emplace(CacheKey(slice->result_idx, sampled[i]),
-                             slice->inf[i]);
+  std::vector<double> miss_inf(misses.size());
+  ScoreTuples(slice->result_idx, miss_rows.data(), miss_rows.size(),
+              is_outlier, miss_inf.data());
+  for (size_t j = 0; j < misses.size(); ++j) {
+    slice->inf[misses[j]] = miss_inf[j];
+    influence_cache_.emplace(CacheKey(slice->result_idx, miss_rows[j]),
+                             miss_inf[j]);
   }
+}
+
+void DTPartitioner::ScoreTuples(int result_idx, const RowId* rows, size_t n,
+                                bool is_outlier, double* out) {
+  stats_.tuple_influences += n;
+  // Chunks score in parallel (Scorer::TupleInfluences only touches
+  // immutable caches and atomic counters); each writes its own slots.
+  constexpr size_t kChunk = 256;
+  const size_t chunks = (n + kChunk - 1) / kChunk;
+  ParallelForOver(scorer_.thread_pool(), 0, chunks, [&](size_t c) {
+    const size_t begin = c * kChunk;
+    const size_t len = std::min(kChunk, n - begin);
+    scorer_.TupleInfluences(result_idx, rows + begin, len, out + begin);
+    for (size_t i = begin; i < begin + len; ++i) {
+      double inf = out[i];
+      if (!is_outlier) inf = std::fabs(inf);  // hold-outs penalize any change
+      if (!std::isfinite(inf)) inf = 0.0;
+      out[i] = inf;
+    }
+  });
 }
 
 DTPartitioner::SplitChoice DTPartitioner::ChooseSplit(
@@ -138,7 +162,8 @@ DTPartitioner::SplitChoice DTPartitioner::ChooseSplit(
                                   &(*code_counts)[ai]);
       if (!codes.empty()) {
         const SplitEval eval =
-            batched ? DiscreteSplitSweep(*col, slices, codes)
+            batched ? DiscreteSplitSweep(*col, slices, codes,
+                                         &(*code_counts)[ai])
                     : DiscreteSplitReference(*col, slices, codes);
         if (batched) scorer_.NoteCandidateBatch();
         for (size_t ci = 0; ci < codes.size(); ++ci) {
@@ -247,8 +272,9 @@ Result<std::vector<ScoredPredicate>> DTPartitioner::PartitionGroups(
     return leaves;
   }
 
-  // Per-attribute code-count scratch for the discrete split candidates,
-  // kept across nodes so each node pays for its sample, not the dictionary.
+  // Per-attribute per-code scratch for the discrete split candidates and
+  // sweep, kept across nodes so each node pays for its sample, not the
+  // dictionary.
   std::vector<std::vector<uint32_t>> code_counts(
       scorer_.problem().attributes.size());
   std::deque<Node> queue;

@@ -78,12 +78,18 @@ class DTPartitioner {
       const std::vector<int>& result_indices, bool is_outlier);
 
   /// Draws a sample for a fresh slice (serially, so RNG order is fixed) and
-  /// computes its influences (in parallel under the scorer's thread pool),
-  /// memoizing per-tuple influence across the whole run.
+  /// computes its influences (in parallel under the scorer's thread pool).
+  /// With sampling on, per-tuple influence is memoized across the run.
   void PopulateSample(GroupSlice* slice, double rate, bool is_outlier);
 
-  /// `code_counts` holds one all-zero count array per problem attribute,
-  /// reused across nodes by DiscreteSplitCandidates.
+  /// DT's influence of each of rows[0..n) of result `result_idx` into
+  /// out[0..n): the scorer's tuple influence, |.| for hold-outs, non-finite
+  /// values read as 0.
+  void ScoreTuples(int result_idx, const RowId* rows, size_t n,
+                   bool is_outlier, double* out);
+
+  /// `code_counts` holds one all-zero per-code array per problem attribute,
+  /// reused across nodes by DiscreteSplitCandidates and DiscreteSplitSweep.
   SplitChoice ChooseSplit(
       const Node& node, double parent_metric,
       std::vector<std::vector<uint32_t>>* code_counts) const;
@@ -95,7 +101,7 @@ class DTPartitioner {
   DTOptions options_;
   DomainMap domains_;
   std::unordered_map<std::string, const Column*> attr_columns_;
-  std::unordered_map<uint64_t, double> influence_cache_;
+  std::unordered_map<uint64_t, double> influence_cache_;  // sampling only
   Rng rng_;
   DTStats stats_;
 

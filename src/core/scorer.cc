@@ -127,7 +127,6 @@ Result<Selection> Scorer::FilterGroup(const BoundPredicate& bound,
 
 double Scorer::RemovedDelta(int result_idx,
                             const std::vector<double>& removed_values) const {
-  ++stats_.incremental_deltas;
   // These cannot fail for removable aggregates with well-formed states.
   AggState removed = agg_->State(removed_values).ValueOrDie();
   AggState remaining = agg_->Remove(states_[result_idx], removed).ValueOrDie();
@@ -149,6 +148,7 @@ double Scorer::Delta(int result_idx, const Selection& matched) const {
   ++stats_.group_deltas;
   if (matched.empty()) return 0.0;
   if (incremental_) {
+    ++stats_.incremental_deltas;
     return RemovedDelta(result_idx, ExtractValues(*agg_col_, matched));
   }
   const AggregateResult& res = result_->results[result_idx];
@@ -581,24 +581,43 @@ Scorer::BuildMatchCacheExtended(const Predicate& pred,
 }
 
 double Scorer::TupleInfluence(int result_idx, RowId row) const {
-  ++stats_.tuple_scores;
-  double delta;
-  if (incremental_) {
-    // Delta's removable path for a one-row bag, read straight from the
-    // column: no Selection, no gather.
-    ++stats_.group_deltas;
-    delta = RemovedDelta(result_idx, {agg_col_->GetDouble(row)});
-  } else {
-    delta = Delta(result_idx, Selection::Single(row, table_->num_rows()));
-  }
-  if (!std::isfinite(delta)) return kNegInf;
+  double inf;
+  TupleInfluences(result_idx, &row, 1, &inf);
+  return inf;
+}
+
+void Scorer::TupleInfluences(int result_idx, const RowId* rows, size_t n,
+                             double* out) const {
+  stats_.tuple_scores += n;
   auto it = std::find(problem_->outliers.begin(), problem_->outliers.end(),
                       result_idx);
-  if (it != problem_->outliers.end()) {
-    size_t pos = static_cast<size_t>(it - problem_->outliers.begin());
-    return delta * problem_->error_vectors[pos];
+  const bool is_outlier = it != problem_->outliers.end();
+  const double ev =
+      is_outlier
+          ? problem_->error_vectors[static_cast<size_t>(
+                it - problem_->outliers.begin())]
+          : 1.0;
+  auto finish = [&](double delta) {
+    if (!std::isfinite(delta)) return kNegInf;
+    return is_outlier ? delta * ev : delta;
+  };
+  if (incremental_) {
+    // Delta's removable path for one-row bags, read straight from the
+    // column: no Selection, no gather, one value buffer for the whole call.
+    stats_.group_deltas += n;
+    stats_.incremental_deltas += n;
+    const double* values = agg_col_->doubles().data();
+    std::vector<double> one(1);
+    for (size_t i = 0; i < n; ++i) {
+      one[0] = values[rows[i]];
+      out[i] = finish(RemovedDelta(result_idx, one));
+    }
+    return;
   }
-  return delta;
+  for (size_t i = 0; i < n; ++i) {
+    out[i] =
+        finish(Delta(result_idx, Selection::Single(rows[i], table_->num_rows())));
+  }
 }
 
 double Scorer::RowSetInfluence(int result_idx, const Selection& rows) const {

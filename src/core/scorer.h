@@ -205,6 +205,12 @@ class Scorer {
   /// exponent is irrelevant for singletons (1^c = 1).
   double TupleInfluence(int result_idx, RowId row) const;
 
+  /// TupleInfluence of each of rows[0..n) (all in result `result_idx`'s
+  /// input group) into out[0..n), with the same per-tuple arithmetic. The
+  /// error vector is resolved once and the counters move once per call.
+  void TupleInfluences(int result_idx, const RowId* rows, size_t n,
+                       double* out) const;
+
   /// Influence of removing an explicit subset of result `result_idx`'s input
   /// group (rows must all belong to that group). Signed by the error vector
   /// for outliers.
@@ -291,7 +297,8 @@ class Scorer {
   double Delta(int result_idx, const Selection& matched) const;
 
   /// Delta's removable-aggregate path over the matched rows' values:
-  /// state/remove/recover against the group's cached state.
+  /// state/remove/recover against the group's cached state. Callers count
+  /// it in stats_.incremental_deltas.
   double RemovedDelta(int result_idx,
                       const std::vector<double>& removed_values) const;
 

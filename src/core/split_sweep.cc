@@ -1,6 +1,7 @@
 #include "core/split_sweep.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -97,87 +98,93 @@ SplitEval ReferenceEval(const std::vector<SplitGroup>& groups,
 #define SCORPION_SWEEP_CLONES
 #endif
 
-/// Range pass 1: row-order left/right influence sums per candidate. A row
-/// with partition p is left of the threshold suffix j >= p.
-SCORPION_SWEEP_CLONES
-void RangeSumPass(const double* __restrict__ xs,
-                  const uint32_t* __restrict__ part, size_t n, size_t k,
-                  double* __restrict__ lsum, double* __restrict__ rsum,
-                  size_t* __restrict__ ln) {
-  for (size_t i = 0; i < n; ++i) {
-    const double x = xs[i];
-    const size_t p = part[i];
-    for (size_t j = p; j < k; ++j) lsum[j] += x;
-    for (size_t j = 0; j < p; ++j) rsum[j] += x;
-    if (p < k) ++ln[p];
-  }
-}
+// The two passes run every row over every candidate j in [0, k) and add x
+// (or d * d) to the side the row goes to and +0.0 to the other, with the
+// side chosen by an integer bit mask: AND on the bit pattern, so a
+// masked-off inf or NaN becomes +0.0 too (x * 0 would not). The trip count
+// is k for every row and nothing branches on the data. Bit-identity with
+// the reference: every accumulator starts at +0.0, so it never holds -0.0,
+// and adding +0.0 to any other value (inf and NaN included) returns it bit
+// for bit; the other additions are the reference's, in row order.
+//
+// Candidates go kSweepLanes at a time, side by side in one vector (GCC /
+// Clang vector extensions: one AVX2 register, or two SSE2 ones in the
+// default clone) that stays in registers across the row loop. Lanes past k
+// compute values that are never stored. Tile order does not matter for
+// bit-identity: each lane still sees its rows in order. The lane logic is
+// written out in the pass bodies, with built-in operators and vector casts
+// only: a vector-typed helper left out of line (as at -O0) would be
+// compiled for the baseline ISA and called from the AVX clones with a
+// different argument-passing convention.
+//
+// The lane mask for a row with partition index p: range, p is the first
+// threshold above the row's value, so the row is left of the suffix
+// j >= p; discrete, p is 1 + the index of the candidate carrying the row's
+// code (0 for none), so the row is left of that candidate only.
+constexpr size_t kSweepLanes = 4;
+typedef double LaneF __attribute__((vector_size(8 * kSweepLanes)));
+typedef uint64_t LaneU __attribute__((vector_size(8 * kSweepLanes)));
+typedef int64_t LaneI __attribute__((vector_size(8 * kSweepLanes)));
 
-/// Range pass 2: row-order squared deviations against the fixed means.
-SCORPION_SWEEP_CLONES
-void RangeDevPass(const double* __restrict__ xs,
-                  const uint32_t* __restrict__ part, size_t n, size_t k,
-                  const double* __restrict__ lmean,
-                  const double* __restrict__ rmean,
-                  double* __restrict__ lss, double* __restrict__ rss) {
-  for (size_t i = 0; i < n; ++i) {
-    const double x = xs[i];
-    const size_t p = part[i];
-    for (size_t j = p; j < k; ++j) {
-      const double d = x - lmean[j];
-      lss[j] += d * d;
+/// Pass 1: row-order left/right influence sums per candidate.
+template <bool kRange>
+SCORPION_SWEEP_CLONES void SumPass(const double* __restrict__ xs,
+                                   const uint32_t* __restrict__ part,
+                                   size_t n, size_t k,
+                                   double* __restrict__ lsum,
+                                   double* __restrict__ rsum) {
+  for (size_t j0 = 0; j0 < k; j0 += kSweepLanes) {
+    LaneI lane;
+    for (size_t t = 0; t < kSweepLanes; ++t) {
+      lane[t] = static_cast<int64_t>(j0 + t);
     }
-    for (size_t j = 0; j < p; ++j) {
-      const double d = x - rmean[j];
-      rss[j] += d * d;
+    LaneF l = {}, r = {};
+    for (size_t i = 0; i < n; ++i) {
+      const LaneU x = LaneU{} + std::bit_cast<uint64_t>(xs[i]);
+      const int64_t p = part[i];
+      const LaneU left = kRange ? (LaneU)(lane >= p) : (LaneU)(lane + 1 == p);
+      l += (LaneF)(x & left);
+      r += (LaneF)(x & ~left);
     }
-  }
-}
-
-/// Discrete pass 1: a row is left of exactly the candidate m carrying its
-/// code. The j loop split around m keeps every accumulator's addition
-/// order identical to the branchy j == m form while letting the rsum runs
-/// vectorize.
-SCORPION_SWEEP_CLONES
-void DiscreteSumPass(const double* __restrict__ xs,
-                     const uint32_t* __restrict__ part, size_t n, size_t k,
-                     double* __restrict__ lsum, double* __restrict__ rsum,
-                     size_t* __restrict__ ln) {
-  for (size_t i = 0; i < n; ++i) {
-    const double x = xs[i];
-    const size_t m = part[i];
-    const size_t m1 = std::min(m, k);
-    for (size_t j = 0; j < m1; ++j) rsum[j] += x;
-    if (m < k) {
-      lsum[m] += x;
-      ++ln[m];
-      for (size_t j = m + 1; j < k; ++j) rsum[j] += x;
+    for (size_t t = 0; t < kSweepLanes && j0 + t < k; ++t) {
+      lsum[j0 + t] = l[t];
+      rsum[j0 + t] = r[t];
     }
   }
 }
 
-/// Discrete pass 2: squared deviations, same split around m.
-SCORPION_SWEEP_CLONES
-void DiscreteDevPass(const double* __restrict__ xs,
-                     const uint32_t* __restrict__ part, size_t n, size_t k,
-                     const double* __restrict__ lmean,
-                     const double* __restrict__ rmean,
-                     double* __restrict__ lss, double* __restrict__ rss) {
-  for (size_t i = 0; i < n; ++i) {
-    const double x = xs[i];
-    const size_t m = part[i];
-    const size_t m1 = std::min(m, k);
-    for (size_t j = 0; j < m1; ++j) {
-      const double d = x - rmean[j];
-      rss[j] += d * d;
-    }
-    if (m < k) {
-      const double d = x - lmean[m];
-      lss[m] += d * d;
-      for (size_t j = m + 1; j < k; ++j) {
-        const double dr = x - rmean[j];
-        rss[j] += dr * dr;
+/// Pass 2: row-order squared deviations against the fixed means.
+template <bool kRange>
+SCORPION_SWEEP_CLONES void DevPass(const double* __restrict__ xs,
+                                   const uint32_t* __restrict__ part,
+                                   size_t n, size_t k,
+                                   const double* __restrict__ lmean,
+                                   const double* __restrict__ rmean,
+                                   double* __restrict__ lss,
+                                   double* __restrict__ rss) {
+  for (size_t j0 = 0; j0 < k; j0 += kSweepLanes) {
+    LaneI lane;
+    LaneF lm = {}, rm = {};
+    for (size_t t = 0; t < kSweepLanes; ++t) {
+      lane[t] = static_cast<int64_t>(j0 + t);
+      if (j0 + t < k) {
+        lm[t] = lmean[j0 + t];
+        rm[t] = rmean[j0 + t];
       }
+    }
+    LaneF l = {}, r = {};
+    for (size_t i = 0; i < n; ++i) {
+      const LaneF x = (LaneF)(LaneU{} + std::bit_cast<uint64_t>(xs[i]));
+      const int64_t p = part[i];
+      const LaneU left = kRange ? (LaneU)(lane >= p) : (LaneU)(lane + 1 == p);
+      const LaneF dl = x - lm;
+      const LaneF dr = x - rm;
+      l += (LaneF)((LaneU)(dl * dl) & left);
+      r += (LaneF)((LaneU)(dr * dr) & ~left);
+    }
+    for (size_t t = 0; t < kSweepLanes && j0 + t < k; ++t) {
+      lss[j0 + t] = l[t];
+      rss[j0 + t] = r[t];
     }
   }
 }
@@ -186,13 +193,15 @@ void DiscreteDevPass(const double* __restrict__ xs,
 /// All function-local (no thread_local scratch: the DT split search calls
 /// these from inside a per-attribute ParallelFor body).
 struct SweepScratch {
-  std::vector<uint32_t> part;    // per row: partition index (see callers)
+  std::vector<uint32_t> part;    // per row: partition index p (see above)
+  std::vector<size_t> count;     // rows per partition index, this group
   std::vector<size_t> ln;        // rows left of candidate j, this group
   std::vector<double> lsum, rsum;
   std::vector<double> lmean, rmean;
   std::vector<double> lss, rss;
 
   void Reset(size_t k) {
+    count.assign(k + 1, 0);
     ln.assign(k, 0);
     lsum.assign(k, 0.0);
     rsum.assign(k, 0.0);
@@ -256,6 +265,107 @@ inline uint32_t UpperBoundBranchFree(const double* t, size_t k, double v) {
   return static_cast<uint32_t>(lo + static_cast<size_t>(!(v < t[lo])));
 }
 
+/// One group through both passes. `part` and `count` are filled; `ln` is
+/// derived from `count` by the caller.
+template <bool kRange>
+void SweepGroup(const SplitGroup& g, SweepScratch* s, SplitEval* eval) {
+  const size_t n = g.rows->size();
+  const size_t k = s->ln.size();
+  const double* xs = g.inf->data();
+  SumPass<kRange>(xs, s->part.data(), n, k, s->lsum.data(), s->rsum.data());
+  ComputeMeans(s, n);
+  DevPass<kRange>(xs, s->part.data(), n, k, s->lmean.data(),
+                  s->rmean.data(), s->lss.data(), s->rss.data());
+  FoldGroup(*s, n, eval);
+}
+
+constexpr uint64_t kSignBit = uint64_t{1} << 63;
+
+/// All ones when `on`, else zero.
+inline uint64_t BitMask(bool on) {
+  return uint64_t{0} - static_cast<uint64_t>(on);
+}
+
+/// Order-preserving key of a non-NaN double: keys compare as unsigned
+/// integers in the values' numeric order. -0.0 is folded onto +0.0 first,
+/// so the two zeros, which compare equal, share one key.
+inline uint64_t OrderedKey(double v) {
+  uint64_t b = std::bit_cast<uint64_t>(v);
+  b = b == kSignBit ? 0 : b;
+  // Negative: flip every bit. Non-negative: set the sign bit.
+  return b ^ (BitMask((b >> 63) != 0) | kSignBit);
+}
+
+/// Inverse of OrderedKey (a zero key decodes to +0.0).
+inline double KeyValue(uint64_t key) {
+  return std::bit_cast<double>(key ^ (BitMask((key >> 63) == 0) | kSignBit));
+}
+
+constexpr int kRadixBits = 11;
+constexpr size_t kRadixBuckets = size_t{1} << kRadixBits;
+
+/// One radix level over m keys in [lo, hi], lo < hi: the histogram digit
+/// is the highest bits where lo and hi differ — 11 of them, or fewer for
+/// m < 1024, so a small pool does not pay for 2048 buckets.
+struct RadixDigit {
+  int shift;
+  uint64_t base;
+  size_t buckets;
+
+  RadixDigit(uint64_t lo, uint64_t hi, size_t m) {
+    const int bits = std::min(kRadixBits, static_cast<int>(std::bit_width(m)));
+    const int width = static_cast<int>(std::bit_width(lo ^ hi));
+    shift = width > bits ? width - bits : 0;
+    base = lo >> shift;
+    buckets = size_t{1} << (width - shift);
+  }
+  size_t operator()(uint64_t key) const {
+    return static_cast<size_t>((key >> shift) - base);
+  }
+};
+
+/// Histogram of `digit` over keys[0..m) into hist[0..digit.buckets).
+void Histogram(const uint64_t* keys, size_t m, const RadixDigit& digit,
+               uint32_t* hist) {
+  std::fill(hist, hist + digit.buckets, 0u);
+  for (size_t i = 0; i < m; ++i) ++hist[digit(keys[i])];
+}
+
+/// Writes the keys of bucket `b` among in[0..m) to the front of out
+/// (branch-free; `out` has room for m and may be `in`) and returns how
+/// many there are. The rest of out[0..m) is clobbered.
+size_t KeepBucket(const uint64_t* in, size_t m, const RadixDigit& digit,
+                  size_t b, uint64_t* out) {
+  size_t kept = 0;
+  for (size_t i = 0; i < m; ++i) {
+    const uint64_t key = in[i];
+    out[kept] = key;
+    kept += static_cast<size_t>(digit(key) == b);
+  }
+  return kept;
+}
+
+/// The key of rank `rank` (0-based, ascending) among keys[0..m) — radix
+/// select, one level at a time, each level keeping only the bucket that
+/// holds the rank. Each level fixes at least one more high bit of
+/// the bucket's common prefix, so it ends once the bucket holds one
+/// distinct key. Clobbers keys[0..m).
+uint64_t SelectKey(uint64_t* keys, size_t m, size_t rank, uint32_t* hist) {
+  while (true) {
+    uint64_t lo = keys[0], hi = keys[0];
+    for (size_t i = 1; i < m; ++i) {
+      lo = std::min(lo, keys[i]);
+      hi = std::max(hi, keys[i]);
+    }
+    if (lo == hi) return lo;
+    const RadixDigit digit(lo, hi, m);
+    Histogram(keys, m, digit, hist);
+    size_t b = 0;
+    while (rank >= hist[b]) rank -= hist[b++];
+    m = KeepBucket(keys, m, digit, b, keys);
+  }
+}
+
 }  // namespace
 
 std::vector<double> RangeSplitCandidates(const Column& col,
@@ -263,37 +373,56 @@ std::vector<double> RangeSplitCandidates(const Column& col,
                                          int num_candidates) {
   size_t total = 0;
   for (const SplitGroup& g : groups) total += g.rows->size();
-  std::vector<double> pool(total);
+  std::vector<uint64_t> pool(total);
   const double* values = col.doubles().data();
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
+  uint64_t lo = ~uint64_t{0};
+  uint64_t hi = 0;
   size_t n = 0;
   for (const SplitGroup& g : groups) {
     for (RowId r : *g.rows) {
       const double v = values[r];
-      // Branch-free compaction: a NaN is written, then overwritten by the
-      // next value. min/max ignore it (every comparison is false).
-      pool[n] = v;
-      n += static_cast<size_t>(!std::isnan(v));
-      lo = v < lo ? v : lo;
-      hi = v > hi ? v : hi;
+      const bool keep = !std::isnan(v);
+      const uint64_t key = OrderedKey(v);
+      // Branch-free compaction: a NaN's key is written, then overwritten
+      // by the next value, and min/max ignore it.
+      pool[n] = key;
+      n += static_cast<size_t>(keep);
+      lo = std::min(lo, keep ? key : lo);
+      hi = std::max(hi, keep ? key : hi);
     }
   }
   std::vector<double> candidates;
-  if (n < 2 || num_candidates < 1) return candidates;
-  pool.resize(n);
+  // All-equal pools have no value above the minimum.
+  if (n < 2 || num_candidates < 1 || lo == hi) return candidates;
+  const double lo_value = KeyValue(lo);
+  const double hi_value = KeyValue(hi);
+  // Level one, shared by every quantile position: one histogram over the
+  // whole pool. Each position then selects inside the bucket holding its
+  // rank, from a copy of that bucket's keys.
+  uint32_t hist[kRadixBuckets];
+  uint32_t level_hist[kRadixBuckets];  // SelectKey's deeper levels
+  const RadixDigit digit(lo, hi, n);
+  Histogram(pool.data(), n, digit, hist);
+  std::vector<uint64_t> bucket_keys(n), work;
+  size_t bucket_size = 0;
+  size_t gathered = digit.buckets;  // the bucket bucket_keys holds, if any
+  size_t bucket = 0, below = 0;  // bucket of the last position, ranks below
   const size_t buckets = static_cast<size_t>(num_candidates) + 1;
-  // [unsorted, n) holds exactly the ranks after the last placed position.
-  size_t unsorted = 0;
   for (size_t q = 1; q < buckets; ++q) {
+    // Positions ascend with q, so the bucket scan only moves forward.
     const size_t pos = std::min(n * q / buckets, n - 1);
-    if (pos >= unsorted) {
-      std::nth_element(pool.begin() + static_cast<ptrdiff_t>(unsorted),
-                       pool.begin() + static_cast<ptrdiff_t>(pos), pool.end());
-      unsorted = pos + 1;
+    while (pos >= below + hist[bucket]) below += hist[bucket++];
+    if (gathered != bucket) {
+      bucket_size =
+          KeepBucket(pool.data(), n, digit, bucket, bucket_keys.data());
+      gathered = bucket;
     }
-    const double v = pool[pos];
-    if (v > lo && v <= hi && (candidates.empty() || candidates.back() != v)) {
+    work.assign(bucket_keys.begin(),
+                bucket_keys.begin() + static_cast<ptrdiff_t>(bucket_size));
+    const double v = KeyValue(
+        SelectKey(work.data(), bucket_size, pos - below, level_hist));
+    if (v > lo_value && v <= hi_value &&
+        (candidates.empty() || candidates.back() != v)) {
       candidates.push_back(v);
     }
   }
@@ -353,40 +482,26 @@ SplitEval RangeSplitSweep(const Column& col,
   eval.total_right.assign(k, 0);
   if (k == 0) return eval;
   SweepScratch s;
+  const double* values = col.doubles().data();
+  const double* t = thresholds.data();
   for (const SplitGroup& g : groups) {
     const RowIdList& rows = *g.rows;
-    const std::vector<double>& inf = *g.inf;
     const size_t n = rows.size();
     s.Reset(k);
     s.part.resize(n);
-    // Raw __restrict__ views: the per-candidate accumulator loops below
-    // are independent across j, and telling the compiler the arrays don't
-    // alias lets it vectorize them. Purely a codegen hint — every
-    // accumulator still receives the exact same additions in the exact
-    // same order.
-    const double* __restrict__ values = col.doubles().data();
-    const double* __restrict__ xs = inf.data();
-    uint32_t* __restrict__ part = s.part.data();
-    const double* t = thresholds.data();
     // One gather pass: a row with value v goes LEFT of candidate j iff
     // v < thresholds[j], i.e. for the suffix j >= p where p is the first
     // threshold greater than v. NaN lands on p = k and goes right of every
     // candidate — exactly the reference's `v < split` behaviour.
     for (size_t i = 0; i < n; ++i) {
-      part[i] = UpperBoundBranchFree(t, k, values[rows[i]]);
+      const uint32_t p = UpperBoundBranchFree(t, k, values[rows[i]]);
+      s.part[i] = p;
+      ++s.count[p];
     }
-    size_t* ln = s.ln.data();
-    // Pass 1 in row order: every candidate's left/right sum receives the
-    // same additions in the same order as the reference's push-then-sum.
-    RangeSumPass(xs, part, n, k, s.lsum.data(), s.rsum.data(), ln);
-    // ln[p] counted only the first threshold the row lands left of; a left
-    // row is left of the whole suffix, so prefix-sum the counts.
-    for (size_t j = 1; j < k; ++j) ln[j] += ln[j - 1];
-    ComputeMeans(&s, n);
-    // Pass 2 in row order: squared deviations against the fixed means.
-    RangeDevPass(xs, part, n, k, s.lmean.data(), s.rmean.data(),
-                 s.lss.data(), s.rss.data());
-    FoldGroup(s, n, &eval);
+    // A row is left of the whole suffix from its partition on.
+    size_t left = 0;
+    for (size_t j = 0; j < k; ++j) s.ln[j] = left += s.count[j];
+    SweepGroup</*kRange=*/true>(g, &s, &eval);
   }
   return eval;
 }
@@ -401,43 +516,45 @@ SplitEval DiscreteSplitReference(const Column& col,
 
 SplitEval DiscreteSplitSweep(const Column& col,
                              const std::vector<SplitGroup>& groups,
-                             const std::vector<int32_t>& codes) {
+                             const std::vector<int32_t>& codes,
+                             std::vector<uint32_t>* scratch) {
   const size_t k = codes.size();
   SplitEval eval;
   eval.metric.assign(k, 0.0);
   eval.total_left.assign(k, 0);
   eval.total_right.assign(k, 0);
   if (k == 0) return eval;
-  // Candidate index per dictionary code; codes outside every candidate map
-  // to k (right of all candidates).
-  std::vector<uint32_t> cand_of(static_cast<size_t>(col.Cardinality()),
-                                static_cast<uint32_t>(k));
+  // 1 + candidate index per dictionary code; 0 (right of every candidate)
+  // for the rest, which is how the scratch arrives and is handed back.
+  std::vector<uint32_t>& cand_of = *scratch;
+  const size_t card = static_cast<size_t>(col.Cardinality());
+  if (cand_of.size() < card) cand_of.resize(card, 0);
   for (size_t j = 0; j < k; ++j) {
-    if (codes[j] >= 0 && static_cast<size_t>(codes[j]) < cand_of.size()) {
-      cand_of[static_cast<size_t>(codes[j])] = static_cast<uint32_t>(j);
+    if (codes[j] >= 0 && static_cast<size_t>(codes[j]) < card) {
+      cand_of[static_cast<size_t>(codes[j])] = static_cast<uint32_t>(j + 1);
     }
   }
   SweepScratch s;
+  const int32_t* code_col = col.codes().data();
   for (const SplitGroup& g : groups) {
     const RowIdList& rows = *g.rows;
-    const std::vector<double>& inf = *g.inf;
     const size_t n = rows.size();
     s.Reset(k);
     s.part.resize(n);
-    const int32_t* __restrict__ code_col = col.codes().data();
-    const double* __restrict__ xs = inf.data();
-    uint32_t* __restrict__ part = s.part.data();
     // One gather pass: a row goes LEFT of exactly the candidate carrying
     // its code ({v} vs rest) and right of every other.
     for (size_t i = 0; i < n; ++i) {
-      part[i] = cand_of[static_cast<size_t>(code_col[rows[i]])];
+      const uint32_t p = cand_of[static_cast<size_t>(code_col[rows[i]])];
+      s.part[i] = p;
+      ++s.count[p];
     }
-    DiscreteSumPass(xs, part, n, k, s.lsum.data(), s.rsum.data(),
-                    s.ln.data());
-    ComputeMeans(&s, n);
-    DiscreteDevPass(xs, part, n, k, s.lmean.data(), s.rmean.data(),
-                    s.lss.data(), s.rss.data());
-    FoldGroup(s, n, &eval);
+    for (size_t j = 0; j < k; ++j) s.ln[j] = s.count[j + 1];
+    SweepGroup</*kRange=*/false>(g, &s, &eval);
+  }
+  for (int32_t c : codes) {
+    if (c >= 0 && static_cast<size_t>(c) < card) {
+      cand_of[static_cast<size_t>(c)] = 0;
+    }
   }
   return eval;
 }

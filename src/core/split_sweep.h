@@ -9,12 +9,17 @@
 // split, a row with value v goes LEFT of exactly the ascending thresholds
 // greater than v (a suffix, found with one branch-free upper bound); for a
 // discrete split, it goes LEFT of exactly the candidate whose code it
-// carries.
+// carries. The accumulate passes visit every candidate for every row and
+// add the row's value or +0.0, picked by an integer bit mask, so they
+// neither branch on the data nor vary their trip count.
 //
 // Bit-identity contract (differential-tested in test_candidate_batch.cc):
 // the sweep produces, for every candidate, the exact same doubles as the
 // reference. This holds because every floating-point accumulator receives
-// the exact same additions in the exact same order as the reference —
+// the reference's additions in the reference's order, interleaved only
+// with masked-off additions of +0.0. Those leave any value but -0.0
+// unchanged bit for bit, and no accumulator ever holds -0.0: each starts
+// at +0.0, and a round-to-nearest sum is -0.0 only when both operands are —
 // per-candidate sums and squared-deviation sums accumulate in row order
 // within each group (the outer row loop preserves it), counts are exact
 // integers, and the cross-group max is taken in group order (std::max of
@@ -66,11 +71,15 @@ struct SplitEval {
 /// pool: the sweep already sends NaN rows right of every threshold. Fewer
 /// than two non-NaN values give no candidates.
 ///
-/// Linear in the sample: min and max come from the gather pass, then each
-/// quantile position, in ascending order, is one nth_element over the
-/// suffix the previous position left unordered. Order statistics do not
-/// depend on how the rest of the pool is arranged, so the candidates equal
-/// those read off a full sort (tests/reference/split_candidates.h).
+/// Linear in the sample, by radix select: the gather pass maps each value
+/// to an order-preserving 64-bit key (-0.0 folded onto +0.0) and finds the
+/// minimum and maximum keys; one 11-bit histogram (fewer bits for pools
+/// under 1,024 values) over the highest bits where those two differ places
+/// every quantile position in a bucket, and further levels inside that
+/// bucket's keys pin down the key of the position's rank. Order statistics do not depend on how the pool is
+/// arranged, so the candidates equal those read off a full sort
+/// (tests/reference/split_candidates.h), compared with == — a candidate
+/// that falls on zero comes back as +0.0.
 std::vector<double> RangeSplitCandidates(const Column& col,
                                          const std::vector<SplitGroup>& groups,
                                          int num_candidates);
@@ -114,8 +123,15 @@ SplitEval DiscreteSplitReference(const Column& col,
 
 /// One-pass discrete evaluation, bit-identical to DiscreteSplitReference.
 /// Candidate codes must be distinct.
+///
+/// `scratch` is a per-code array owned by the caller, under the same
+/// contract as DiscreteSplitCandidates' `counts` (and it may be the same
+/// array): all zero on entry, handed back all zero, grown to the column's
+/// cardinality on first use. Only the candidates' codes are touched, so a
+/// call costs O(sample + k).
 SplitEval DiscreteSplitSweep(const Column& col,
                              const std::vector<SplitGroup>& groups,
-                             const std::vector<int32_t>& codes);
+                             const std::vector<int32_t>& codes,
+                             std::vector<uint32_t>* scratch);
 
 }  // namespace scorpion

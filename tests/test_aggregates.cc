@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "aggregates/aggregate.h"
 #include "aggregates/standard_aggregates.h"
 #include "common/random.h"
+#include "reference/aggregates.h"
 
 namespace scorpion {
 namespace {
@@ -190,6 +195,147 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.agg_name + "_seed" +
              std::to_string(info.param.seed);
     });
+
+// --- Inline AggState against the std::vector arithmetic ----------------------
+
+/// Uniform values, with some of the edge cases a state can carry mixed in.
+/// A call mixes in NaN or the infinities, not both: inf - inf makes a NaN
+/// of the other sign, and which of two different NaN operands an addition
+/// returns depends on the operand order the compiler picks.
+std::vector<double> EdgeMixValues(Rng* rng, size_t n, bool with_nan) {
+  const double finite[] = {0.0,
+                           -0.0,
+                           1e308,
+                           -1e308,
+                           std::numeric_limits<double>::denorm_min(),
+                           -4.9e-320};
+  const double non_finite[] = {std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  std::vector<double> values(n);
+  for (double& v : values) {
+    if (!rng->Bernoulli(0.1)) {
+      v = rng->Uniform(-50.0, 150.0);
+    } else if (rng->Bernoulli(0.7)) {
+      v = finite[rng->UniformInt(0, 5)];
+    } else {
+      v = with_nan ? std::numeric_limits<double>::quiet_NaN()
+                   : non_finite[rng->UniformInt(0, 1)];
+    }
+  }
+  return values;
+}
+
+::testing::AssertionResult SameBits(const AggState& got,
+                                    const reference::VecState& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << got.size() << " vs " << want.size();
+  }
+  if (std::memcmp(got.begin(), want.data(), want.size() * sizeof(double)) !=
+      0) {
+    return ::testing::AssertionFailure() << "state bits differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult SameBits(double got, double want) {
+  if (std::memcmp(&got, &want, sizeof(double)) != 0) {
+    return ::testing::AssertionFailure() << got << " vs " << want;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(AggregateState, InlineStateMatchesVectorReference) {
+  Rng rng(2024);
+  for (const std::string name : {"COUNT", "SUM", "AVG", "VARIANCE", "STDDEV"}) {
+    const Aggregate* agg = GetAggregate(name).ValueOrDie();
+    for (int trial = 0; trial < 200; ++trial) {
+      const size_t sizes[] = {0, 1, 2, 50};
+      const bool with_nan = trial % 2 == 1;
+      const std::vector<double> all =
+          EdgeMixValues(&rng, sizes[trial % 4], with_nan);
+      std::vector<double> part;
+      for (double v : all) {
+        if (rng.Bernoulli(0.4)) part.push_back(v);
+      }
+      const std::vector<double> extra =
+          EdgeMixValues(&rng, static_cast<size_t>(rng.UniformInt(0, 5)),
+                        with_nan);
+      const std::string where = name + " trial " + std::to_string(trial);
+
+      const AggState total = agg->State(all).ValueOrDie();
+      const AggState removed = agg->State(part).ValueOrDie();
+      const AggState more = agg->State(extra).ValueOrDie();
+      const reference::VecState ref_total = reference::State(name, all);
+      const reference::VecState ref_removed = reference::State(name, part);
+      const reference::VecState ref_more = reference::State(name, extra);
+      EXPECT_TRUE(SameBits(total, ref_total)) << where;
+      EXPECT_TRUE(SameBits(removed, ref_removed)) << where;
+
+      const AggState updated =
+          agg->Update({total, removed, more}).ValueOrDie();
+      const reference::VecState ref_updated =
+          reference::Update({ref_total, ref_removed, ref_more});
+      EXPECT_TRUE(SameBits(updated, ref_updated)) << where;
+
+      const AggState rest = agg->Remove(total, removed).ValueOrDie();
+      const reference::VecState ref_rest =
+          reference::Remove(ref_total, ref_removed);
+      EXPECT_TRUE(SameBits(rest, ref_rest)) << where;
+
+      EXPECT_TRUE(SameBits(agg->Recover(rest).ValueOrDie(),
+                           reference::Recover(name, ref_rest)))
+          << where;
+      EXPECT_TRUE(SameBits(agg->Recover(updated).ValueOrDie(),
+                           reference::Recover(name, ref_updated)))
+          << where;
+    }
+  }
+}
+
+TEST(AggregateState, VectorSurface) {
+  AggState s{1.0, 2.0, 3.0};
+  EXPECT_EQ(s.size(), 3u);
+  EXPECT_FALSE(s.empty());
+  EXPECT_EQ(s[1], 2.0);
+  double sum = 0.0;
+  for (double v : s) sum += v;
+  EXPECT_EQ(sum, 6.0);
+  s.assign(2, 0.5);
+  EXPECT_EQ(s, (AggState{0.5, 0.5}));
+  EXPECT_FALSE(s == (AggState{0.5, 0.5, 0.0}));
+  EXPECT_TRUE(AggState().empty());
+  EXPECT_EQ(AggState{}, AggState());
+}
+
+/// A removable aggregate whose state is one entry wider than AggState
+/// holds: it builds its state with AggState::FromValues.
+class WideStateAggregate : public SumAggregate {
+ public:
+  std::string name() const override { return "WIDE"; }
+  Result<AggState> State(const std::vector<double>& values) const override {
+    double wide[AggState::kCapacity + 1] = {};
+    for (double v : values) wide[0] += v;
+    return AggState::FromValues(wide, AggState::kCapacity + 1);
+  }
+};
+
+TEST(AggregateState, OverCapacityStateIsACleanStatus) {
+  const WideStateAggregate wide;
+  const Result<AggState> state = wide.State({1.0, 2.0});
+  ASSERT_FALSE(state.ok());
+  EXPECT_TRUE(state.status().IsInvalidArgument()) << state.status().ToString();
+  const double four[] = {1.0, 2.0, 3.0, 4.0};
+  const Result<AggState> fits = AggState::FromValues(four, 4);
+  ASSERT_TRUE(fits.ok());
+  EXPECT_EQ(*fits, (AggState{1.0, 2.0, 3.0, 4.0}));
+}
+
+TEST(AggregateStateDeathTest, OverCapacityBracesAbort) {
+  EXPECT_DEATH(AggState({1.0, 2.0, 3.0, 4.0, 5.0}), "capacity");
+  AggState s;
+  EXPECT_DEATH(s.assign(AggState::kCapacity + 1, 0.0), "capacity");
+}
 
 // SUM's Delta anti-monotonicity on non-negative data: Delta(subset) <=
 // Delta(set) for any nested pair.

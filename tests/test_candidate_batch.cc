@@ -1,7 +1,9 @@
 // Candidate-batched evaluation equivalence suite: FilterBatch must be
 // bit-identical to filtering each candidate separately (same rows, same
 // pruning-counter trajectory), the one-pass DT split sweep must reproduce
-// the candidate-at-a-time reference double-for-double, InfluenceAll must
+// the candidate-at-a-time reference bit for bit (influences with signed
+// zeros, denormals, overflowing sums, infinities and NaNs included, and a
+// 100k-code dictionary for the discrete sweep's scratch), InfluenceAll must
 // equal per-candidate Influence, and whole-engine Explain must not change
 // with ScorpionOptions::enable_candidate_batching — across randomized
 // block layouts (empty / single-row / block-aligned / block-straddling),
@@ -12,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <thread>
@@ -327,6 +330,57 @@ TEST(CandidateBatch, ConcurrentProducersSharingOnePool) {
 
 // --- Split sweep --------------------------------------------------------------
 
+/// Influence mixes for the sweep differentials. Beyond uniform draws, the
+/// masked accumulation must survive values whose masked-off lanes would
+/// not vanish under x * 0 (inf, NaN), signed zeros, sums that overflow,
+/// and denormals. Infinities and NaNs go in separate mixes: inf - inf
+/// makes a NaN of the other sign, and which of two different NaN operands
+/// an addition returns depends on the operand order the compiler picks.
+enum class InfMix { kUniform, kZerosAndDenormals, kHuge, kInfinities, kNaNs };
+
+double DrawInfluence(Rng* rng, InfMix mix) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
+  switch (mix) {
+    case InfMix::kUniform:
+      break;
+    case InfMix::kZerosAndDenormals:
+      if (rng->Bernoulli(0.4)) {
+        const double pool[] = {0.0, -0.0, kDenorm, -kDenorm, 3 * kDenorm,
+                               -2.5e-310};
+        return pool[rng->UniformInt(0, 5)];
+      }
+      break;
+    case InfMix::kHuge:
+      if (rng->Bernoulli(0.05)) return rng->Bernoulli(0.5) ? 1e308 : -1e308;
+      break;
+    case InfMix::kInfinities:
+      if (rng->Bernoulli(0.01)) return rng->Bernoulli(0.5) ? kInf : -kInf;
+      break;
+    case InfMix::kNaNs:
+      if (rng->Bernoulli(0.01)) return kNaN;
+      break;
+  }
+  return rng->Uniform(-5.0, 5.0);
+}
+
+constexpr InfMix kInfMixes[] = {InfMix::kUniform, InfMix::kZerosAndDenormals,
+                                InfMix::kHuge, InfMix::kInfinities,
+                                InfMix::kNaNs};
+
+/// Metric bit patterns compared with memcmp (NaN metrics included), totals
+/// exactly.
+void ExpectSameEval(const SplitEval& got, const SplitEval& want,
+                    const std::string& where) {
+  ASSERT_EQ(got.metric.size(), want.metric.size()) << where;
+  EXPECT_EQ(std::memcmp(got.metric.data(), want.metric.data(),
+                        want.metric.size() * sizeof(double)),
+            0)
+      << where;
+  EXPECT_EQ(got.total_left, want.total_left) << where;
+  EXPECT_EQ(got.total_right, want.total_right) << where;
+}
+
 TEST(SplitSweep, RangeSweepMatchesReference) {
   Rng rng(67);
   for (size_t n : {size_t{64}, kBlockSize + 33, 3 * kBlockSize}) {
@@ -334,34 +388,36 @@ TEST(SplitSweep, RangeSweepMatchesReference) {
       Table table = BuildTable(&rng, n, /*clustered=*/true, nan_frac,
                                /*cat_cardinality=*/8);
       const Column& col = *table.ColumnByName("x").ValueOrDie();
-      // Interleaved groups with per-row influences, plus one empty group.
-      std::vector<RowIdList> rows(3);
-      std::vector<std::vector<double>> inf(3);
-      for (size_t i = 0; i < n; ++i) {
-        const size_t g = static_cast<size_t>(rng.UniformInt(0, 2));
-        rows[g].push_back(static_cast<RowId>(i));
-        inf[g].push_back(rng.Uniform(-5.0, 5.0));
-      }
-      std::vector<SplitGroup> groups;
-      for (size_t g = 0; g < 3; ++g) groups.push_back({&rows[g], &inf[g]});
-      static const RowIdList kEmptyRows;
-      static const std::vector<double> kEmptyInf;
-      groups.push_back({&kEmptyRows, &kEmptyInf});
-
-      for (size_t k : {size_t{1}, size_t{7}, size_t{32}}) {
-        std::vector<double> thresholds;
-        for (size_t j = 0; j < k; ++j) {
-          thresholds.push_back(rng.Uniform(-5.0, 105.0));
+      for (InfMix mix : kInfMixes) {
+        // Interleaved groups with per-row influences, plus one empty group.
+        std::vector<RowIdList> rows(3);
+        std::vector<std::vector<double>> inf(3);
+        for (size_t i = 0; i < n; ++i) {
+          const size_t g = static_cast<size_t>(rng.UniformInt(0, 2));
+          rows[g].push_back(static_cast<RowId>(i));
+          inf[g].push_back(DrawInfluence(&rng, mix));
         }
-        std::sort(thresholds.begin(), thresholds.end());
-        thresholds.erase(
-            std::unique(thresholds.begin(), thresholds.end()),
-            thresholds.end());
-        const SplitEval ref = RangeSplitReference(col, groups, thresholds);
-        const SplitEval sweep = RangeSplitSweep(col, groups, thresholds);
-        EXPECT_EQ(sweep.metric, ref.metric) << "n=" << n << " k=" << k;
-        EXPECT_EQ(sweep.total_left, ref.total_left);
-        EXPECT_EQ(sweep.total_right, ref.total_right);
+        std::vector<SplitGroup> groups;
+        for (size_t g = 0; g < 3; ++g) groups.push_back({&rows[g], &inf[g]});
+        static const RowIdList kEmptyRows;
+        static const std::vector<double> kEmptyInf;
+        groups.push_back({&kEmptyRows, &kEmptyInf});
+
+        for (size_t k : {size_t{1}, size_t{3}, size_t{7}, size_t{32}}) {
+          std::vector<double> thresholds;
+          for (size_t j = 0; j < k; ++j) {
+            thresholds.push_back(rng.Uniform(-5.0, 105.0));
+          }
+          std::sort(thresholds.begin(), thresholds.end());
+          thresholds.erase(
+              std::unique(thresholds.begin(), thresholds.end()),
+              thresholds.end());
+          ExpectSameEval(RangeSplitSweep(col, groups, thresholds),
+                         RangeSplitReference(col, groups, thresholds),
+                         "n=" + std::to_string(n) +
+                             " k=" + std::to_string(k) +
+                             " mix=" + std::to_string(static_cast<int>(mix)));
+        }
       }
     }
   }
@@ -369,30 +425,89 @@ TEST(SplitSweep, RangeSweepMatchesReference) {
 
 TEST(SplitSweep, DiscreteSweepMatchesReference) {
   Rng rng(71);
+  // One scratch across every call, as DT keeps one per attribute.
+  std::vector<uint32_t> scratch;
   for (size_t n : {size_t{64}, kBlockSize + 33, 2 * kBlockSize}) {
     Table table = BuildTable(&rng, n, /*clustered=*/false, /*nan_frac=*/0.0,
                              /*cat_cardinality=*/12);
     const Column& col = *table.ColumnByName("cat").ValueOrDie();
-    std::vector<RowIdList> rows(3);
-    std::vector<std::vector<double>> inf(3);
-    for (size_t i = 0; i < n; ++i) {
-      const size_t g = static_cast<size_t>(rng.UniformInt(0, 2));
-      rows[g].push_back(static_cast<RowId>(i));
-      inf[g].push_back(rng.Uniform(-5.0, 5.0));
+    for (InfMix mix : kInfMixes) {
+      std::vector<RowIdList> rows(3);
+      std::vector<std::vector<double>> inf(3);
+      for (size_t i = 0; i < n; ++i) {
+        const size_t g = static_cast<size_t>(rng.UniformInt(0, 2));
+        rows[g].push_back(static_cast<RowId>(i));
+        inf[g].push_back(DrawInfluence(&rng, mix));
+      }
+      std::vector<SplitGroup> groups;
+      for (size_t g = 0; g < 3; ++g) groups.push_back({&rows[g], &inf[g]});
+
+      const int32_t card = col.Cardinality();
+      // Distinct codes in frequency-style (unsorted) order, including one
+      // code that may not appear in any sampled group; k = 6 spans two
+      // lane tiles.
+      std::vector<int32_t> codes;
+      for (int32_t c = card - 1; c >= 0; c -= 2) codes.push_back(c);
+      ExpectSameEval(DiscreteSplitSweep(col, groups, codes, &scratch),
+                     DiscreteSplitReference(col, groups, codes),
+                     "n=" + std::to_string(n) +
+                         " mix=" + std::to_string(static_cast<int>(mix)));
+      EXPECT_TRUE(std::all_of(scratch.begin(), scratch.end(),
+                              [](uint32_t v) { return v == 0; }));
+    }
+  }
+}
+
+// A 100k-code dictionary with 50-row samples: the sweep's per-code scratch
+// is sized once and touched only at the candidates' codes, and comes back
+// all zero after every call.
+TEST(SplitSweep, DiscreteSweepOnLargeDictionary) {
+  constexpr int32_t kCodes = 100000;
+  constexpr uint32_t kHotRows = 200;
+  Column col(DataType::kCategorical);
+  // Row c < kCodes carries code c; the kHotRows rows after them carry
+  // codes 0..3, so samples drawn there repeat codes.
+  for (int32_t c = 0; c < kCodes; ++c) {
+    ASSERT_TRUE(col.AppendString("c" + std::to_string(c)).ok());
+  }
+  for (uint32_t i = 0; i < kHotRows; ++i) {
+    ASSERT_TRUE(col.AppendString("c" + std::to_string(i % 4)).ok());
+  }
+  Rng rng(73);
+  std::vector<uint32_t> scratch;
+  for (int trial = 0; trial < 200; ++trial) {
+    // 50 distinct rows: 10 hot, 40 from the whole dictionary.
+    std::vector<RowId> picks;
+    for (uint32_t r : rng.SampleWithoutReplacement(kHotRows, 10)) {
+      picks.push_back(static_cast<RowId>(kCodes) + r);
+    }
+    for (uint32_t r : rng.SampleWithoutReplacement(kCodes, 40)) {
+      picks.push_back(r);
+    }
+    std::sort(picks.begin(), picks.end());
+    std::vector<RowIdList> rows(2);
+    std::vector<std::vector<double>> inf(2);
+    for (RowId r : picks) {
+      const size_t g = static_cast<size_t>(rng.UniformInt(0, 1));
+      rows[g].push_back(r);
+      inf[g].push_back(DrawInfluence(&rng, kInfMixes[trial % 5]));
     }
     std::vector<SplitGroup> groups;
-    for (size_t g = 0; g < 3; ++g) groups.push_back({&rows[g], &inf[g]});
-
-    const int32_t card = col.Cardinality();
-    // Distinct codes in frequency-style (unsorted) order, including one
-    // code that may not appear in any sampled group.
-    std::vector<int32_t> codes;
-    for (int32_t c = card - 1; c >= 0; c -= 2) codes.push_back(c);
-    const SplitEval ref = DiscreteSplitReference(col, groups, codes);
-    const SplitEval sweep = DiscreteSplitSweep(col, groups, codes);
-    EXPECT_EQ(sweep.metric, ref.metric) << "n=" << n;
-    EXPECT_EQ(sweep.total_left, ref.total_left);
-    EXPECT_EQ(sweep.total_right, ref.total_right);
+    for (size_t g = 0; g < 2; ++g) groups.push_back({&rows[g], &inf[g]});
+    std::vector<int32_t> codes =
+        DiscreteSplitCandidates(col, groups, 5, &scratch);
+    // Plus one more distinct code, which the sample almost never carries.
+    const int32_t extra = kCodes - 1 - trial;
+    if (std::find(codes.begin(), codes.end(), extra) == codes.end()) {
+      codes.push_back(extra);
+    }
+    ExpectSameEval(DiscreteSplitSweep(col, groups, codes, &scratch),
+                   DiscreteSplitReference(col, groups, codes),
+                   "trial=" + std::to_string(trial));
+    ASSERT_EQ(scratch.size(), static_cast<size_t>(kCodes));
+    EXPECT_TRUE(std::all_of(scratch.begin(), scratch.end(),
+                            [](uint32_t v) { return v == 0; }))
+        << "trial=" << trial;
   }
 }
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "core/scorer.h"
 #include "query/groupby.h"
@@ -59,6 +61,32 @@ TEST_F(ScorerPaperExample, TupleInfluencesMatchPaper) {
   EXPECT_NEAR(scorer->TupleInfluence(1, 4), -10.8333, 1e-3);
   // T6 (row 5, temp 100): avg(35,35)=35, influence = 56.67-35 = 21.67.
   EXPECT_NEAR(scorer->TupleInfluence(1, 5), 21.6667, 1e-3);
+}
+
+// The batched form DT populates samples with: the same doubles as one
+// TupleInfluence per row, for outliers (error vector applied) and hold-outs,
+// on the removable path (AVG) and the recompute path (MEDIAN), with the
+// counters moved once per tuple.
+TEST_F(ScorerPaperExample, TupleInfluencesMatchPerTupleCalls) {
+  for (const char* aggregate : {"AVG", "MEDIAN"}) {
+    QueryResult qr = qr_;
+    qr.query.aggregate = aggregate;
+    ProblemSpec problem = PaperProblem(-1.0);
+    auto scorer = Scorer::Make(table_, qr, problem);
+    ASSERT_TRUE(scorer.ok()) << scorer.status().ToString();
+    for (int idx = 0; idx < 3; ++idx) {
+      const RowIdList& rows = qr.results[idx].input_group.rows();
+      const uint64_t before = scorer->stats().tuple_scores.load();
+      std::vector<double> batch(rows.size());
+      scorer->TupleInfluences(idx, rows.data(), rows.size(), batch.data());
+      EXPECT_EQ(scorer->stats().tuple_scores.load() - before, rows.size());
+      for (size_t i = 0; i < rows.size(); ++i) {
+        const double single = scorer->TupleInfluence(idx, rows[i]);
+        EXPECT_EQ(std::memcmp(&batch[i], &single, sizeof(double)), 0)
+            << aggregate << " result " << idx << " row " << rows[i];
+      }
+    }
+  }
 }
 
 TEST_F(ScorerPaperExample, ErrorVectorFlipsSign) {

@@ -7,11 +7,16 @@
 // when positions repeat (samples of 2..K+1 values), under heavy
 // duplication, for all-equal samples (no candidates) and with signed zeros,
 // which a sort may place in either order and which are therefore compared
-// with ==. The discrete candidates must equal the full (frequency
-// descending, code ascending) ranking's prefix, ties included.
+// with ==. The shapes also cover what radix selection over order-preserving
+// keys must get right: ±inf and denormals, values spanning the sign and
+// many binades, narrow 4-decimal and duplicate-heavy 1-decimal ranges, and
+// keys that differ only in their lowest bits. The discrete candidates must
+// equal the full (frequency descending, code ascending) ranking's prefix,
+// ties included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -55,9 +60,21 @@ Column DoubleColumn(const std::vector<double>& values) {
   return col;
 }
 
-enum class Shape { kContinuous, kDuplicates, kAllEqual, kSignedZeros };
+enum class Shape {
+  kContinuous,
+  kDuplicates,
+  kAllEqual,
+  kSignedZeros,
+  kInfAndDenormals,  // ±inf, denormals and zeros among ordinary values
+  kSpansSign,        // both signs, magnitudes from 1e-30 to 1e30
+  kFourDecimals,     // a narrow range at 4 decimals
+  kOneDecimal,       // 1-decimal readings, heavy duplicates
+  kLowBits,          // keys that differ only in their lowest bits
+};
 
 double Draw(Rng* rng, Shape shape) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
   switch (shape) {
     case Shape::kContinuous:
       return rng->Uniform(-50.0, 50.0);
@@ -68,6 +85,25 @@ double Draw(Rng* rng, Shape shape) {
     case Shape::kSignedZeros: {
       const double pool[] = {-0.0, 0.0, -0.0, 0.0, 1.0, -1.0};
       return pool[rng->UniformInt(0, 5)];
+    }
+    case Shape::kInfAndDenormals: {
+      const double pool[] = {kInf,     -kInf, kDenorm, -kDenorm,
+                             3 * kDenorm, std::numeric_limits<double>::min(),
+                             0.0,      -0.0,  rng->Uniform(-1.0, 1.0)};
+      return pool[rng->UniformInt(0, 8)];
+    }
+    case Shape::kSpansSign:
+      return (rng->Bernoulli(0.5) ? -1.0 : 1.0) *
+             std::pow(10.0, rng->Uniform(-30.0, 30.0));
+    case Shape::kFourDecimals:
+      return std::round(rng->Uniform(20.0, 20.05) * 1e4) / 1e4;
+    case Shape::kOneDecimal:
+      return std::round(rng->Uniform(15.0, 17.0) * 10.0) / 10.0;
+    case Shape::kLowBits: {
+      const uint64_t base = std::bit_cast<uint64_t>(
+          rng->Bernoulli(0.5) ? 1.5 : -1.5);
+      return std::bit_cast<double>(
+          base + static_cast<uint64_t>(rng->UniformInt(0, 40)));
     }
   }
   return 0.0;
@@ -89,17 +125,23 @@ void ExpectSameCandidates(const std::vector<double>& got,
 
 TEST(SplitCandidates, RangeMatchesSortReference) {
   Rng rng(101);
-  const Shape shapes[] = {Shape::kContinuous, Shape::kDuplicates,
-                          Shape::kAllEqual, Shape::kSignedZeros};
-  for (int trial = 0; trial < 4000; ++trial) {
+  const Shape shapes[] = {Shape::kContinuous,      Shape::kDuplicates,
+                          Shape::kAllEqual,        Shape::kSignedZeros,
+                          Shape::kInfAndDenormals, Shape::kSpansSign,
+                          Shape::kFourDecimals,    Shape::kOneDecimal,
+                          Shape::kLowBits};
+  constexpr int kShapes = static_cast<int>(std::size(shapes));
+  for (int trial = 0; trial < 9000; ++trial) {
     const int k = static_cast<int>(rng.UniformInt(1, 9));
-    const Shape shape = shapes[trial % 4];
-    // Half the trials stay at 0..K+1 values, where several quantile
-    // positions land on the same index.
-    const size_t n = trial % 2 == 0
-                         ? static_cast<size_t>(rng.UniformInt(0, k + 1))
-                         : static_cast<size_t>(rng.UniformInt(0, 400));
-    const double nan_frac = trial % 3 == 0 ? 0.25 : 0.0;
+    const Shape shape = shapes[trial % kShapes];
+    // A third of the trials stay at 0..K+1 values, where several quantile
+    // positions land on the same index; a few reach past 2048 values, so
+    // the first radix level has more values than buckets.
+    const size_t n =
+        trial % 3 == 0   ? static_cast<size_t>(rng.UniformInt(0, k + 1))
+        : trial % 50 == 1 ? static_cast<size_t>(rng.UniformInt(2048, 6000))
+                          : static_cast<size_t>(rng.UniformInt(0, 400));
+    const double nan_frac = trial % 4 == 0 ? 0.25 : 0.0;
     std::vector<double> values;
     for (size_t i = 0; i < n; ++i) {
       values.push_back(rng.Bernoulli(nan_frac) ? kNaN : Draw(&rng, shape));
