@@ -131,15 +131,10 @@ Result<std::vector<ScoredPredicate>> MCPartitioner::Run() {
   // Precompute tuple influences over the outlier groups once; both pruning
   // rule (b) and high-cardinality unit seeding read from this.
   row_influence_.assign(scorer_.table().num_rows(), kNaN);
-  std::vector<double> group_influence;
-  for (int idx : problem.outliers) {
-    const RowIdList& rows =
-        scorer_.query_result().results[idx].input_group.rows();
-    group_influence.resize(rows.size());
-    scorer_.TupleInfluences(idx, rows.data(), rows.size(),
-                            group_influence.data());
-    for (size_t j = 0; j < rows.size(); ++j) {
-      row_influence_[rows[j]] = group_influence[j];
+  for (size_t i = 0; i < problem.outliers.size(); ++i) {
+    int idx = problem.outliers[i];
+    for (RowId r : scorer_.query_result().results[idx].input_group.rows()) {
+      row_influence_[r] = scorer_.TupleInfluence(idx, r);
     }
   }
 

@@ -134,13 +134,16 @@ TEST(SplitCandidates, RangeMatchesSortReference) {
   for (int trial = 0; trial < 9000; ++trial) {
     const int k = static_cast<int>(rng.UniformInt(1, 9));
     const Shape shape = shapes[trial % kShapes];
-    // A third of the trials stay at 0..K+1 values, where several quantile
-    // positions land on the same index; a few reach past 2048 values, so
-    // the first radix level has more values than buckets.
+    // The size class is drawn from the round (trial / kShapes), so every
+    // shape meets every class: one round in 50 reaches past 2048 values,
+    // where the first radix level has more values than buckets; a third of
+    // the rest stay at 0..K+1 values, where several quantile positions land
+    // on the same index; the others hold 0..400 values.
+    const int round = trial / kShapes;
     const size_t n =
-        trial % 3 == 0   ? static_cast<size_t>(rng.UniformInt(0, k + 1))
-        : trial % 50 == 1 ? static_cast<size_t>(rng.UniformInt(2048, 6000))
-                          : static_cast<size_t>(rng.UniformInt(0, 400));
+        round % 50 == 1  ? static_cast<size_t>(rng.UniformInt(2048, 6000))
+        : round % 3 == 0 ? static_cast<size_t>(rng.UniformInt(0, k + 1))
+                         : static_cast<size_t>(rng.UniformInt(0, 400));
     const double nan_frac = trial % 4 == 0 ? 0.25 : 0.0;
     std::vector<double> values;
     for (size_t i = 0; i < n; ++i) {
