@@ -31,25 +31,21 @@ int main() {
       std::printf("\n--- SYNTH-%dD-%s (descending c) ---\n", dims,
                   easy ? "Easy" : "Hard");
       TablePrinter table({"c", "cache(s)", "no-cache(s)", "speedup"});
-      Scorpion cached(options);
-      Scorpion uncached(options);
-      Status prep = cached.Prepare(inst->dataset.table, inst->qr, *problem);
-      if (prep.ok()) {
-        prep = uncached.Prepare(inst->dataset.table, inst->qr, *problem);
-      }
-      if (!prep.ok()) {
-        std::fprintf(stderr, "Prepare failed: %s\n", prep.ToString().c_str());
-        return 1;
-      }
-      uncached.set_cache_enabled(false);
+      Scorpion scorpion(options);
+      ExplainSession session;
 
       double total_cached = 0.0, total_uncached = 0.0;
       for (double c : kCs) {
+        ProblemSpec at_c = *problem;
+        at_c.c = c;
         WallTimer t1;
-        auto with_cache = cached.ExplainWithC(c);
+        auto with_cache =
+            scorpion.Explain(inst->dataset.table, inst->qr, at_c, &session,
+                             /*cross_c_warm_start=*/true);
         double cached_s = t1.ElapsedSeconds();
         WallTimer t2;
-        auto without_cache = uncached.ExplainWithC(c);
+        auto without_cache =
+            scorpion.Explain(inst->dataset.table, inst->qr, at_c);
         double uncached_s = t2.ElapsedSeconds();
         BENCH_CHECK_OK(with_cache);
         BENCH_CHECK_OK(without_cache);

@@ -59,15 +59,14 @@ int RunWorkload(const char* title, const SensorOptions& opts) {
   ScorpionOptions options;
   options.algorithm = Algorithm::kDT;
   Scorpion scorpion(options);
-  Status prep = scorpion.Prepare(dataset->table, *qr, *problem);
-  if (!prep.ok()) {
-    std::fprintf(stderr, "Prepare failed: %s\n", prep.ToString().c_str());
-    return 1;
-  }
+  ExplainSession session;
 
   TablePrinter table({"c", "runtime(s)", "F", "predicate"});
   for (double c : {1.0, 0.75, 0.5, 0.25, 0.0}) {
-    auto explanation = scorpion.ExplainWithC(c);
+    ProblemSpec at_c = *problem;
+    at_c.c = c;
+    auto explanation = scorpion.Explain(dataset->table, *qr, at_c, &session,
+                                        /*cross_c_warm_start=*/true);
     BENCH_CHECK_OK(explanation);
     auto acc = EvaluatePredicate(dataset->table, explanation->best().pred,
                                  *outlier_union, dataset->ground_truth_rows);

@@ -13,10 +13,11 @@ namespace {
 
 /// Everything that fixes an ExplainSession's validity except c: the shared
 /// annotation serialization (core/problem.h). The table and query result
-/// are fixed per Dataset, so unlike the service's ProblemKey no identity
-/// prefix is needed. Requests agreeing on this key share cached DT
-/// partitions at any c; requests differing in it must NOT share a session —
-/// an exact-c hit would hand one problem the other's results.
+/// are fixed per dataset (a live dataset's sessions follow its generations
+/// through their data key), so no identity prefix is needed. Requests
+/// agreeing on this key share cached DT partitions at any c; requests
+/// differing in it must NOT share a session — an exact-c hit would hand one
+/// problem the other's results.
 std::string AnnotationKey(const ProblemSpec& problem, Algorithm algorithm) {
   std::string key;
   AppendAnnotationKey(problem, algorithm, &key);
@@ -118,7 +119,7 @@ Result<Dataset> Engine::Open(const Table& table, GroupByQuery query) {
   SCORPION_ASSIGN_OR_RETURN(QueryResult result,
                             ExecuteGroupBy(table, query));
   return Dataset(this, &table,
-                 std::make_shared<QueryResult>(std::move(result)));
+                 std::make_shared<const QueryResult>(std::move(result)));
 }
 
 Result<LiveDataset> Engine::OpenLive(LiveTable& live, GroupByQuery query,
@@ -154,7 +155,6 @@ ExplanationService& Engine::service() {
     service_options.engine = options_.engine;
     service_options.num_workers = options_.num_workers;
     service_options.max_queue_depth = options_.max_queue_depth;
-    service_options.cache_enabled = options_.cache_enabled;
     service_options.cross_c_warm_start = options_.cross_c_warm_start;
     service_ = std::make_unique<ExplanationService>(service_options);
   }
@@ -181,53 +181,56 @@ struct Dataset::SessionStore {
   std::map<std::string, Entry> sessions SCORPION_GUARDED_BY(mu);
 
   /// The session for one annotation set (created on first use, LRU
-  /// eviction past kMaxSessions). Returns nullptr when caching is off or
-  /// the algorithm ignores sessions.
-  static std::shared_ptr<ExplainSession> Acquire(SessionStore& store,
-                                                 bool cache_enabled,
-                                                 const ProblemSpec& problem,
-                                                 Algorithm algorithm);
+  /// eviction past kMaxSessions). Returns nullptr when the algorithm
+  /// ignores sessions.
+  std::shared_ptr<ExplainSession> Acquire(const ProblemSpec& problem,
+                                          Algorithm algorithm);
+
+  /// Drops every annotation set's cached session state.
+  void Clear();
 };
 
 std::shared_ptr<ExplainSession> Dataset::SessionStore::Acquire(
-    SessionStore& store, bool cache_enabled, const ProblemSpec& problem,
-    Algorithm algorithm) {
-  if (!cache_enabled) return nullptr;
-  // Only DT consults a session (Scorpion::Run's other branches ignore it);
-  // storing entries for NAIVE/MC would let useless keys evict live DT ones.
+    const ProblemSpec& problem, Algorithm algorithm) {
+  // Only DT consults a session (Scorpion::Explain's other branches ignore
+  // it); storing entries for NAIVE/MC would let useless keys evict live DT
+  // ones.
   if (algorithm != Algorithm::kDT) return nullptr;
   const std::string key = AnnotationKey(problem, algorithm);
-  MutexLock lock(store.mu);
-  SessionStore::Entry& entry = store.sessions[key];
+  MutexLock lock(mu);
+  Entry& entry = sessions[key];
   if (entry.session == nullptr) {
     entry.session = std::make_shared<ExplainSession>();
-    if (store.sessions.size() > SessionStore::kMaxSessions) {
+    if (sessions.size() > kMaxSessions) {
       // Evict the least-recently-used *other* key (map nodes are stable, so
       // `entry` survives); in-flight jobs keep an evicted session alive
       // through their shared_ptr.
-      auto victim = store.sessions.end();
-      for (auto it = store.sessions.begin(); it != store.sessions.end();
-           ++it) {
+      auto victim = sessions.end();
+      for (auto it = sessions.begin(); it != sessions.end(); ++it) {
         if (it->first == key) continue;
-        if (victim == store.sessions.end() ||
+        if (victim == sessions.end() ||
             it->second.last_used < victim->second.last_used) {
           victim = it;
         }
       }
-      if (victim != store.sessions.end()) {
-        store.sessions.erase(victim);
+      if (victim != sessions.end()) {
+        sessions.erase(victim);
       }
     }
   }
-  entry.last_used = ++store.clock;
+  entry.last_used = ++clock;
   return entry.session;
 }
 
+void Dataset::SessionStore::Clear() {
+  MutexLock lock(mu);
+  for (auto& [key, entry] : sessions) entry.session->Clear();
+}
+
 Dataset::Dataset(Engine* engine, const Table* table,
-                 std::shared_ptr<QueryResult> result)
+                 std::shared_ptr<const QueryResult> result)
     : engine_(engine),
-      table_(table),
-      result_(std::move(result)),
+      pinned_{table, std::move(result), nullptr},
       sessions_(std::make_unique<SessionStore>()) {}
 
 Dataset::Dataset(Dataset&&) noexcept = default;
@@ -235,50 +238,64 @@ Dataset& Dataset::operator=(Dataset&&) noexcept = default;
 Dataset::~Dataset() = default;
 
 Result<ProblemSpec> Dataset::Resolve(const ExplainRequest& request) const {
-  return request.Resolve(*result_);
+  return request.Resolve(*pinned_.result);
 }
 
-void Dataset::ClearCache() {
-  MutexLock lock(sessions_->mu);
-  for (auto& [key, entry] : sessions_->sessions) entry.session->Clear();
-}
-
-std::shared_ptr<ExplainSession> Dataset::SessionFor(
-    const ProblemSpec& problem, Algorithm algorithm) const {
-  return SessionStore::Acquire(*sessions_, engine_->options().cache_enabled,
-                               problem, algorithm);
-}
+void Dataset::ClearCache() { sessions_->Clear(); }
 
 Result<ExplainResponse> Dataset::Explain(const ExplainRequest& request) const {
-  SCORPION_ASSIGN_OR_RETURN(ProblemSpec problem, Resolve(request));
-
-  ScorpionOptions engine_options = engine_->options().engine;
-  engine_options.algorithm = request.algorithm();
-  if (request.top_k() > 0) engine_options.top_k = request.top_k();
-  Scorpion engine(engine_options);
-  engine.set_thread_pool(engine_->scoring_pool());
-
-  std::shared_ptr<ExplainSession> session =
-      SessionFor(problem, request.algorithm());
-  Result<Explanation> explanation =
-      session != nullptr
-          ? engine.ExplainShared(*table_, *result_, problem, session.get(),
-                                 engine_->options().cross_c_warm_start)
-          : engine.Explain(*table_, *result_, problem);
-  if (!explanation.ok()) return explanation.status();
-  return BuildResponse(*table_, *result_, problem, request.what_if(),
-                       engine_options.enable_block_pruning,
-                       engine_->scoring_pool(), std::move(*explanation));
+  return ExplainPinned(*engine_, *sessions_, pinned_, /*stats=*/nullptr,
+                       request);
 }
 
 Result<PendingExplanation> Dataset::ExplainAsync(
     const ExplainRequest& request) const {
-  SCORPION_ASSIGN_OR_RETURN(ProblemSpec problem, Resolve(request));
+  return SubmitPinned(*engine_, *sessions_, pinned_, request);
+}
+
+Result<ExplainResponse> Dataset::ExplainPinned(Engine& engine,
+                                               SessionStore& sessions,
+                                               const Pinned& pinned,
+                                               ServiceStats* stats,
+                                               const ExplainRequest& request) {
+  SCORPION_ASSIGN_OR_RETURN(ProblemSpec problem,
+                            request.Resolve(*pinned.result));
+
+  ScorpionOptions engine_options = engine.options().engine;
+  engine_options.algorithm = request.algorithm();
+  if (request.top_k() > 0) engine_options.top_k = request.top_k();
+  Scorpion scorpion(engine_options);
+  scorpion.set_thread_pool(engine.scoring_pool());
+
+  std::shared_ptr<ExplainSession> session =
+      sessions.Acquire(problem, request.algorithm());
+  SCORPION_ASSIGN_OR_RETURN(
+      Explanation explanation,
+      scorpion.Explain(*pinned.table, *pinned.result, problem, session.get(),
+                       engine.options().cross_c_warm_start));
+  if (stats != nullptr) {
+    if (explanation.session_delta_refreshed) {
+      ++stats->sessions_delta_refreshed;
+    }
+    stats->tail_rows_scanned +=
+        explanation.scorer_stats.tail_rows_scanned.load();
+  }
+  return BuildResponse(*pinned.table, *pinned.result, problem,
+                       request.what_if(), engine_options.enable_block_pruning,
+                       engine.scoring_pool(), std::move(explanation));
+}
+
+Result<PendingExplanation> Dataset::SubmitPinned(
+    Engine& engine, SessionStore& sessions, Pinned pinned,
+    const ExplainRequest& request) {
+  SCORPION_ASSIGN_OR_RETURN(ProblemSpec problem,
+                            request.Resolve(*pinned.result));
 
   Job job;
-  job.table = table_;
-  job.query_result = result_.get();
-  job.query_result_owner = result_;  // outlives dropped handles + Dataset
+  job.table = pinned.table;
+  job.query_result = pinned.result.get();
+  job.query_result_owner = pinned.result;
+  job.snapshot = pinned.snapshot;
   job.problem = problem;
   job.algorithm = request.algorithm();
   job.top_k = request.top_k();
@@ -287,26 +304,25 @@ Result<PendingExplanation> Dataset::ExplainAsync(
     SCORPION_RETURN_NOT_OK(
         job.set_deadline_after(*request.deadline_seconds()));
   }
-  job.session = SessionFor(problem, request.algorithm());
+  job.session = sessions.Acquire(problem, request.algorithm());
 
-  Response response = engine_->service().Submit(std::move(job));
-  return PendingExplanation(
-      table_, result_, std::move(problem), request.what_if(),
-      engine_->options().engine.enable_block_pruning,
-      engine_->scoring_pool(), std::move(response));
+  Response response = engine.service().Submit(std::move(job));
+  return PendingExplanation(std::move(pinned), std::move(problem),
+                            request.what_if(),
+                            engine.options().engine.enable_block_pruning,
+                            engine.scoring_pool(), std::move(response));
 }
 
 // --- LiveDataset -------------------------------------------------------------
 
-/// The pinned (snapshot, result) pair. The lock covers only pointer
-/// copies/swaps — a reader pins both under the shared lock and runs its
-/// whole explain unlocked against the refcounted copies, so Refresh never
-/// waits on an in-flight run (and vice versa). refresh_mu serializes
-/// concurrent Refresh callers so generations advance one at a time.
+/// The served Pinned. The lock covers only pointer copies/swaps — a reader
+/// pins under the shared lock and runs its whole explain unlocked against
+/// the refcounted copies, so Refresh never waits on an in-flight run (and
+/// vice versa). refresh_mu serializes concurrent Refresh callers so
+/// generations advance one at a time.
 struct LiveDataset::State {
   mutable SharedMutex mu;
-  std::shared_ptr<const TableSnapshot> snap SCORPION_GUARDED_BY(mu);
-  std::shared_ptr<const QueryResult> result SCORPION_GUARDED_BY(mu);
+  Dataset::Pinned pinned SCORPION_GUARDED_BY(mu);
   Mutex refresh_mu;
 };
 
@@ -319,53 +335,50 @@ LiveDataset::LiveDataset(Engine* engine, LiveTable* live,
       service_stats_(service_stats),
       state_(std::make_unique<State>()),
       sessions_(std::make_unique<Dataset::SessionStore>()) {
-  state_->snap = std::move(snap);
-  state_->result = std::move(result);
+  // List-initialization evaluates left to right: the table address is
+  // taken before `snap` is moved from.
+  state_->pinned = {&snap->table, std::move(result), std::move(snap)};
 }
 
 LiveDataset::LiveDataset(LiveDataset&&) noexcept = default;
 LiveDataset& LiveDataset::operator=(LiveDataset&&) noexcept = default;
 LiveDataset::~LiveDataset() = default;
 
+Dataset::Pinned LiveDataset::Pin() const {
+  ReaderMutexLock lock(state_->mu);
+  return state_->pinned;
+}
+
 uint64_t LiveDataset::generation() const {
   ReaderMutexLock lock(state_->mu);
-  return state_->snap->generation;
+  return state_->pinned.snapshot->generation;
 }
 
 std::shared_ptr<const TableSnapshot> LiveDataset::snapshot() const {
   ReaderMutexLock lock(state_->mu);
-  return state_->snap;
+  return state_->pinned.snapshot;
 }
 
 std::shared_ptr<const QueryResult> LiveDataset::result() const {
   ReaderMutexLock lock(state_->mu);
-  return state_->result;
+  return state_->pinned.result;
 }
 
-void LiveDataset::ClearCache() {
-  MutexLock lock(sessions_->mu);
-  for (auto& [key, entry] : sessions_->sessions) entry.session->Clear();
-}
+void LiveDataset::ClearCache() { sessions_->Clear(); }
 
 Result<uint64_t> LiveDataset::Refresh() {
   SCORPION_FAILPOINT("storage.live_refresh");
   MutexLock refresh_lock(state_->refresh_mu);
   SCORPION_ASSIGN_OR_RETURN(std::shared_ptr<const TableSnapshot> snap,
                             live_->Publish());
-  std::shared_ptr<const TableSnapshot> old_snap;
-  std::shared_ptr<const QueryResult> old_result;
-  {
-    ReaderMutexLock lock(state_->mu);
-    old_snap = state_->snap;
-    old_result = state_->result;
-  }
-  if (snap->generation == old_snap->generation) return snap->generation;
+  const Dataset::Pinned old = Pin();
+  if (snap->generation == old.snapshot->generation) return snap->generation;
 
   // Extend the query result over only the delta rows (the frozen prefix is
   // encoding-identical between generations, so old groups keep their row
   // lists and untouched aggregates verbatim).
   SCORPION_ASSIGN_OR_RETURN(QueryResult extended,
-                            ExtendQueryResult(*old_result, snap->table));
+                            ExtendQueryResult(*old.result, snap->table));
   auto new_result = std::make_shared<const QueryResult>(std::move(extended));
 
   // Re-key every session before the swap: from this point an in-flight run
@@ -376,13 +389,12 @@ Result<uint64_t> LiveDataset::Refresh() {
     MutexLock lock(sessions_->mu);
     for (auto& [key, entry] : sessions_->sessions) {
       entry.session->BeginDeltaRefresh(snap->generation,
-                                       snap->table.num_rows(), *old_result);
+                                       snap->table.num_rows(), *old.result);
     }
   }
   {
     WriterMutexLock lock(state_->mu);
-    state_->snap = snap;
-    state_->result = std::move(new_result);
+    state_->pinned = {&snap->table, std::move(new_result), snap};
   }
   if (service_stats_ != nullptr) {
     ++service_stats_->snapshot_generations_published;
@@ -392,90 +404,22 @@ Result<uint64_t> LiveDataset::Refresh() {
 
 Result<ExplainResponse> LiveDataset::Explain(
     const ExplainRequest& request) const {
-  std::shared_ptr<const TableSnapshot> snap;
-  std::shared_ptr<const QueryResult> result;
-  {
-    ReaderMutexLock lock(state_->mu);
-    snap = state_->snap;
-    result = state_->result;
-  }
-  SCORPION_ASSIGN_OR_RETURN(ProblemSpec problem, request.Resolve(*result));
-
-  ScorpionOptions engine_options = engine_->options().engine;
-  engine_options.algorithm = request.algorithm();
-  if (request.top_k() > 0) engine_options.top_k = request.top_k();
-  Scorpion engine(engine_options);
-  engine.set_thread_pool(engine_->scoring_pool());
-
-  std::shared_ptr<ExplainSession> session = Dataset::SessionStore::Acquire(
-      *sessions_, engine_->options().cache_enabled, problem,
-      request.algorithm());
-  Result<Explanation> explanation =
-      session != nullptr
-          ? engine.ExplainShared(snap->table, *result, problem, session.get(),
-                                 engine_->options().cross_c_warm_start)
-          : engine.Explain(snap->table, *result, problem);
-  if (!explanation.ok()) return explanation.status();
-  if (service_stats_ != nullptr) {
-    if (explanation->session_delta_refreshed) {
-      ++service_stats_->sessions_delta_refreshed;
-    }
-    service_stats_->tail_rows_scanned +=
-        explanation->scorer_stats.tail_rows_scanned.load();
-  }
-  return BuildResponse(snap->table, *result, problem, request.what_if(),
-                       engine_options.enable_block_pruning,
-                       engine_->scoring_pool(), std::move(*explanation));
+  return Dataset::ExplainPinned(*engine_, *sessions_, Pin(), service_stats_,
+                                request);
 }
 
 Result<PendingExplanation> LiveDataset::ExplainAsync(
     const ExplainRequest& request) const {
-  std::shared_ptr<const TableSnapshot> snap;
-  std::shared_ptr<const QueryResult> result;
-  {
-    ReaderMutexLock lock(state_->mu);
-    snap = state_->snap;
-    result = state_->result;
-  }
-  SCORPION_ASSIGN_OR_RETURN(ProblemSpec problem, request.Resolve(*result));
-
-  Job job;
-  job.table = &snap->table;
-  job.query_result = result.get();
-  job.query_result_owner = result;
-  job.snapshot = snap;  // keeps the generation alive until the future is set
-  job.problem = problem;
-  job.algorithm = request.algorithm();
-  job.top_k = request.top_k();
-  job.priority = request.priority();
-  if (request.deadline_seconds().has_value()) {
-    SCORPION_RETURN_NOT_OK(
-        job.set_deadline_after(*request.deadline_seconds()));
-  }
-  job.session = Dataset::SessionStore::Acquire(
-      *sessions_, engine_->options().cache_enabled, problem,
-      request.algorithm());
-
-  Response response = engine_->service().Submit(std::move(job));
-  // Take the table pointer before std::move(snap): the arguments below are
-  // unsequenced, so the moved-from snap must not be dereferenced in one.
-  const Table* table = &snap->table;
-  return PendingExplanation(
-      table, std::move(result), std::move(problem), request.what_if(),
-      engine_->options().engine.enable_block_pruning,
-      engine_->scoring_pool(), std::move(response), std::move(snap));
+  return Dataset::SubmitPinned(*engine_, *sessions_, Pin(), request);
 }
 
 // --- PendingExplanation ------------------------------------------------------
 
-PendingExplanation::PendingExplanation(
-    const Table* table, std::shared_ptr<const QueryResult> result,
-    ProblemSpec problem, bool with_what_if, bool enable_block_pruning,
-    ThreadPool* pool, Response response,
-    std::shared_ptr<const TableSnapshot> snapshot)
-    : table_(table),
-      result_(std::move(result)),
-      snapshot_(std::move(snapshot)),
+PendingExplanation::PendingExplanation(Dataset::Pinned pinned,
+                                       ProblemSpec problem, bool with_what_if,
+                                       bool enable_block_pruning,
+                                       ThreadPool* pool, Response response)
+    : pinned_(std::move(pinned)),
       problem_(std::move(problem)),
       with_what_if_(with_what_if),
       enable_block_pruning_(enable_block_pruning),
@@ -489,8 +433,8 @@ Result<ExplainResponse> PendingExplanation::Get() {
   }
   Result<Explanation> explanation = response_.future.get();
   if (!explanation.ok()) return explanation.status();
-  return BuildResponse(*table_, *result_, problem_, with_what_if_,
-                       enable_block_pruning_, pool_,
+  return BuildResponse(*pinned_.table, *pinned_.result, problem_,
+                       with_what_if_, enable_block_pruning_, pool_,
                        std::move(*explanation));
 }
 

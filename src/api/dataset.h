@@ -8,13 +8,11 @@
 //       .FlagTooHigh("12PM").Holdout("11AM")
 //       .WithAttributes({"sensorid", "voltage"}).WithC(0.5));
 //
-// — replacing the three Scorpion entry modes (Explain / ExplainShared /
-// Prepare+ExplainWithC) on the old surface. Scorpion remains the internal
-// engine this facade drives. Sync and async explains share the dataset's
-// session, so a c-slider sweep reuses DT partitions and merged results
-// (Section 8.3.3) with no Prepare() choreography, and results stay
-// byte-identical to a direct engine run unless cross-c warm starts are
-// explicitly enabled.
+// — and owns the sessions (Section 8.3.3 caches) those explains share;
+// Scorpion is the internal engine this facade drives. Sync and async
+// explains share the dataset's session, so a c-slider sweep reuses DT
+// partitions and merged results, and results stay byte-identical to a
+// direct engine run unless cross-c warm starts are explicitly enabled.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +48,6 @@ struct EngineOptions {
   int num_workers = 2;
   /// Async queue bound; beyond it admission control sheds (Unavailable).
   size_t max_queue_depth = 256;
-  /// Master switch for session caching across a dataset's explains.
-  bool cache_enabled = true;
   /// Opt-in Section 8.3.3 cross-c warm starts: influence can only improve,
   /// but results then depend on which c values ran first. Off by default so
   /// every response is byte-identical to a direct Scorpion::Explain().
@@ -95,7 +91,6 @@ class Engine {
 
  private:
   friend class Dataset;
-  friend class LiveDataset;
 
   /// The shared scoring pool (nullptr = serial).
   ThreadPool* scoring_pool() { return pool_.get(); }
@@ -127,8 +122,8 @@ class Dataset {
   Dataset& operator=(Dataset&&) noexcept;
   ~Dataset();
 
-  const Table& table() const { return *table_; }
-  const QueryResult& result() const { return *result_; }
+  const Table& table() const { return *pinned_.table; }
+  const QueryResult& result() const { return *pinned_.result; }
 
   /// Resolves a request's keyed annotations against this dataset's query
   /// result (the one place keys become indices). Exposed for callers that
@@ -151,27 +146,42 @@ class Dataset {
 
  private:
   friend class Engine;
-  // LiveDataset reuses the keyed session store (same annotation-set keying,
-  // same LRU bound) rather than duplicating it.
+  // LiveDataset explains through the same helpers and session store.
   friend class LiveDataset;
+  friend class PendingExplanation;
+
+  /// What one explain runs over. The shared_ptrs keep the result (and a
+  /// live table's generation) alive for in-flight async jobs and
+  /// PendingExplanations even if the handle is moved, destroyed or
+  /// refreshed first; `snapshot` is null for static tables.
+  struct Pinned {
+    const Table* table = nullptr;
+    std::shared_ptr<const QueryResult> result;
+    std::shared_ptr<const TableSnapshot> snapshot;
+  };
+
+  /// Keyed session store (see the class comment; defined in dataset.cc).
+  struct SessionStore;
 
   Dataset(Engine* engine, const Table* table,
-          std::shared_ptr<QueryResult> result);
+          std::shared_ptr<const QueryResult> result);
 
-  /// The session for one annotation set (created on first use, LRU-bounded;
-  /// see the class comment). Disabled caching returns nullptr.
-  std::shared_ptr<ExplainSession> SessionFor(const ProblemSpec& problem,
-                                             Algorithm algorithm) const;
+  /// The sync explain path of both handles. `stats` (nullable) receives
+  /// the ingest-plane counters (see Engine::OpenLive).
+  static Result<ExplainResponse> ExplainPinned(Engine& engine,
+                                               SessionStore& sessions,
+                                               const Pinned& pinned,
+                                               ServiceStats* stats,
+                                               const ExplainRequest& request);
+
+  /// The async submit path of both handles.
+  static Result<PendingExplanation> SubmitPinned(
+      Engine& engine, SessionStore& sessions, Pinned pinned,
+      const ExplainRequest& request);
 
   Engine* engine_;
-  const Table* table_;
-  // shared_ptr keeps the result alive (and its address stable) for
-  // in-flight async jobs and PendingExplanations even if the Dataset is
-  // moved or destroyed first.
-  std::shared_ptr<QueryResult> result_;
-  // Keyed session store behind a pointer so the Dataset stays movable (the
-  // store holds a mutex).
-  struct SessionStore;
+  Pinned pinned_;
+  // Behind a pointer so the Dataset stays movable (the store holds a mutex).
   std::unique_ptr<SessionStore> sessions_;
 };
 
@@ -235,12 +245,15 @@ class LiveDataset {
               std::shared_ptr<const TableSnapshot> snap,
               std::shared_ptr<const QueryResult> result);
 
+  /// The currently served generation and its query result.
+  Dataset::Pinned Pin() const;
+
   Engine* engine_;
   LiveTable* live_;
   /// Optional ingest-plane counter sink (see Engine::OpenLive).
   ServiceStats* service_stats_;
-  /// Pinned (snapshot, result) pair behind a pointer for movability; the
-  /// State's reader/writer lock covers only the pointer swap, never a run.
+  /// The served Pinned behind a pointer for movability; the State's
+  /// reader/writer lock covers only the pointer swap, never a run.
   std::unique_ptr<State> state_;
   std::unique_ptr<Dataset::SessionStore> sessions_;
 };
@@ -267,20 +280,12 @@ class PendingExplanation {
 
  private:
   friend class Dataset;
-  friend class LiveDataset;
 
-  PendingExplanation(const Table* table,
-                     std::shared_ptr<const QueryResult> result,
-                     ProblemSpec problem, bool with_what_if,
-                     bool enable_block_pruning, ThreadPool* pool,
-                     Response response,
-                     std::shared_ptr<const TableSnapshot> snapshot = nullptr);
+  PendingExplanation(Dataset::Pinned pinned, ProblemSpec problem,
+                     bool with_what_if, bool enable_block_pruning,
+                     ThreadPool* pool, Response response);
 
-  const Table* table_;
-  std::shared_ptr<const QueryResult> result_;
-  // Generation pin when the table lives inside a published TableSnapshot
-  // (LiveDataset::ExplainAsync); null for plain datasets.
-  std::shared_ptr<const TableSnapshot> snapshot_;
+  Dataset::Pinned pinned_;
   ProblemSpec problem_;
   bool with_what_if_ = true;
   // Engine data-plane configuration captured at submit time, so the

@@ -101,13 +101,25 @@ const char* AlgorithmToString(Algorithm algorithm) {
   return "?";
 }
 
-void ExplainSession::Clear() {
-  WriterMutexLock lock(mu_);
+void ExplainSession::DropStateLocked() {
   has_partitions_ = false;
   partitions_.clear();
   merged_by_c_.clear();
-  key_ = DataKey{};
   seed_.reset();
+}
+
+void ExplainSession::Clear() {
+  WriterMutexLock lock(mu_);
+  DropStateLocked();
+}
+
+bool ExplainSession::AdvanceKeyLocked(uint64_t generation, size_t num_rows) {
+  if (!key_.set || key_.generation < generation) {
+    DropStateLocked();
+    SetKeyLocked(generation, num_rows);
+    return true;
+  }
+  return KeyUsableLocked(generation, num_rows);
 }
 
 bool ExplainSession::BeginDeltaRefresh(uint64_t new_generation,
@@ -132,53 +144,13 @@ bool ExplainSession::BeginDeltaRefresh(uint64_t new_generation,
     }
     if (seed->matches.empty()) seed.reset();
   }
-  has_partitions_ = false;
-  partitions_.clear();
-  merged_by_c_.clear();
+  DropStateLocked();
   SetKeyLocked(new_generation, new_num_rows);
   seed_ = std::move(seed);
   return seed_ != nullptr;
 }
 
 Scorpion::Scorpion(ScorpionOptions options) : options_(std::move(options)) {}
-
-Result<Explanation> Scorpion::Explain(const Table& table,
-                                      const QueryResult& result,
-                                      const ProblemSpec& problem) {
-  return Run(table, result, problem, /*session=*/nullptr,
-             /*cross_c_warm_start=*/false);
-}
-
-Result<Explanation> Scorpion::ExplainShared(const Table& table,
-                                            const QueryResult& result,
-                                            const ProblemSpec& problem,
-                                            ExplainSession* session,
-                                            bool cross_c_warm_start) {
-  return Run(table, result, problem, session, cross_c_warm_start);
-}
-
-Status Scorpion::Prepare(const Table& table, const QueryResult& result,
-                         ProblemSpec problem) {
-  SCORPION_RETURN_NOT_OK(problem.Validate(result));
-  table_ = &table;
-  result_ = &result;
-  problem_ = std::move(problem);
-  prepared_ = true;
-  ClearCache();
-  return Status::OK();
-}
-
-Result<Explanation> Scorpion::ExplainWithC(double c) {
-  if (!prepared_) {
-    return Status::InvalidArgument("call Prepare() before ExplainWithC()");
-  }
-  problem_.c = c;
-  return Run(*table_, *result_, problem_,
-             cache_enabled_ ? &session_ : nullptr,
-             /*cross_c_warm_start=*/true);
-}
-
-void Scorpion::ClearCache() { session_.Clear(); }
 
 ThreadPool* Scorpion::EnsurePool() {
   if (external_pool_ != nullptr) return external_pool_;
@@ -194,11 +166,11 @@ ThreadPool* Scorpion::EnsurePool() {
   return pool_.get();
 }
 
-Result<Explanation> Scorpion::Run(const Table& table,
-                                  const QueryResult& result,
-                                  const ProblemSpec& problem,
-                                  ExplainSession* session,
-                                  bool cross_c_warm_start) {
+Result<Explanation> Scorpion::Explain(const Table& table,
+                                      const QueryResult& result,
+                                      const ProblemSpec& problem,
+                                      ExplainSession* session,
+                                      bool cross_c_warm_start) {
   WallTimer timer;
 
   // Data identity of this run. Cached session state is only read or written
@@ -256,78 +228,71 @@ Result<Explanation> Scorpion::Run(const Table& table,
       std::vector<ScoredPredicate> partitions;
       std::vector<ScoredPredicate> warm_seeds;
       bool have_partitions = false;
-      bool have_result = false;
-      // Flipped to false when the session's DataKey no longer matches this
-      // run's table identity: the run then computes sessionless (and never
-      // stores), instead of mixing state across generations.
-      bool session_usable = session != nullptr;
       if (session != nullptr) {
         ReaderMutexLock lock(session->mu_);
-        if (!session->KeyUsableLocked(cur_generation, cur_num_rows)) {
-          session_usable = false;
-        } else if (session->LookupMergedLocked(problem.c, &out.predicates)) {
-          // An exact-c entry stored since the fast-path probe above is
-          // still a whole-answer hit.
-          out.cache_result_hit = true;
-          have_result = true;
-        } else {
-          if (session->has_partitions_) {
-            partitions = session->partitions_;
-            have_partitions = true;
-            out.cache_partitions_hit = true;
-          }
-          if (cross_c_warm_start) {
-            warm_seeds = session->WarmSeedsLocked(problem.c);
-          }
-        }
-      }
-      if (have_result) break;
-      if (!have_partitions) {
-        if (session_usable) {
-          // Exclusive lock around the whole computation: concurrent requests
-          // on this session block here and reuse the winner's partitions
-          // instead of each recomputing them.
-          WriterMutexLock lock(session->mu_);
-          // Re-check everything: a concurrent same-(key, c) request may
-          // have stored a result — or a delta refresh may have re-keyed
-          // the session — while we waited for the lock.
-          if (!session->KeyUsableLocked(cur_generation, cur_num_rows)) {
-            DTPartitioner dt(scorer, options_.dt);
-            SCORPION_ASSIGN_OR_RETURN(partitions, dt.Run());
-          } else if (session->LookupMergedLocked(problem.c,
-                                                 &out.predicates)) {
+        // A key mismatch is settled under the exclusive lock below.
+        if (session->KeyUsableLocked(cur_generation, cur_num_rows)) {
+          if (session->LookupMergedLocked(problem.c, &out.predicates)) {
+            // An exact-c entry stored since the fast-path probe above is
+            // still a whole-answer hit.
             out.cache_result_hit = true;
-            have_result = true;
-          } else if (session->has_partitions_) {
-            partitions = session->partitions_;
-            out.cache_partitions_hit = true;
           } else {
-            DTPartitioner dt(scorer, options_.dt);
-            SCORPION_ASSIGN_OR_RETURN(partitions, dt.Run());
-            // Cache the c-agnostic match Selections with the partitions, so
-            // later runs (any c) skip re-filtering the table entirely. A
-            // delta seed parked by BeginDeltaRefresh extends the previous
-            // generation's matches over only the appended rows; it is
-            // one-shot, consumed here.
-            size_t seed_hits = 0;
-            SCORPION_RETURN_NOT_OK(AttachMatchCaches(
-                scorer, &partitions, session->seed_.get(), &seed_hits));
-            session->seed_.reset();
-            out.session_delta_refreshed = seed_hits > 0;
-            session->partitions_ = partitions;
-            session->has_partitions_ = true;
-            session->SetKeyLocked(cur_generation, cur_num_rows);
+            if (session->has_partitions_) {
+              partitions = session->partitions_;
+              have_partitions = true;
+              out.cache_partitions_hit = true;
+            }
+            if (cross_c_warm_start) {
+              warm_seeds = session->WarmSeedsLocked(problem.c);
+            }
           }
-          if (cross_c_warm_start && warm_seeds.empty() &&
-              session->KeyUsableLocked(cur_generation, cur_num_rows)) {
-            warm_seeds = session->WarmSeedsLocked(problem.c);
-          }
-        } else {
-          DTPartitioner dt(scorer, options_.dt);
-          SCORPION_ASSIGN_OR_RETURN(partitions, dt.Run());
         }
       }
-      if (have_result) break;
+      if (out.cache_result_hit) break;
+      if (!have_partitions && session != nullptr) {
+        // Exclusive lock around the whole computation: concurrent requests
+        // on this session block here and reuse the winner's partitions
+        // instead of each recomputing them.
+        WriterMutexLock lock(session->mu_);
+        // Re-check everything: a concurrent same-(key, c) request may have
+        // stored a result — or a delta refresh may have re-keyed the
+        // session — while we waited for the lock. A run over an older
+        // generation than the key falls through to a sessionless DT below.
+        if (session->AdvanceKeyLocked(cur_generation, cur_num_rows)) {
+          if (session->LookupMergedLocked(problem.c, &out.predicates)) {
+            out.cache_result_hit = true;
+          } else {
+            if (session->has_partitions_) {
+              partitions = session->partitions_;
+              out.cache_partitions_hit = true;
+            } else {
+              DTPartitioner dt(scorer, options_.dt);
+              SCORPION_ASSIGN_OR_RETURN(partitions, dt.Run());
+              // Cache the c-agnostic match Selections with the partitions,
+              // so later runs (any c) skip re-filtering the table entirely.
+              // A delta seed parked by BeginDeltaRefresh extends the
+              // previous generation's matches over only the appended rows;
+              // it is one-shot, consumed here.
+              size_t seed_hits = 0;
+              SCORPION_RETURN_NOT_OK(AttachMatchCaches(
+                  scorer, &partitions, session->seed_.get(), &seed_hits));
+              session->seed_.reset();
+              out.session_delta_refreshed = seed_hits > 0;
+              session->partitions_ = partitions;
+              session->has_partitions_ = true;
+            }
+            have_partitions = true;
+            if (cross_c_warm_start && warm_seeds.empty()) {
+              warm_seeds = session->WarmSeedsLocked(problem.c);
+            }
+          }
+        }
+      }
+      if (out.cache_result_hit) break;
+      if (!have_partitions) {
+        DTPartitioner dt(scorer, options_.dt);
+        SCORPION_ASSIGN_OR_RETURN(partitions, dt.Run());
+      }
       // Influence scores depend on c; force the merger to rescore.
       for (ScoredPredicate& sp : partitions) {
         sp.influence = kNegInf;
@@ -350,9 +315,8 @@ Result<Explanation> Scorpion::Run(const Table& table,
         // Store only into a session still keyed to this run's generation;
         // a refresh while we merged makes this result stale for the
         // session (though still correct for this run's pinned snapshot).
-        if (session->KeyUsableLocked(cur_generation, cur_num_rows)) {
+        if (session->AdvanceKeyLocked(cur_generation, cur_num_rows)) {
           session->StoreMergedLocked(problem.c, merged);
-          session->SetKeyLocked(cur_generation, cur_num_rows);
         }
       }
       out.predicates = std::move(merged);

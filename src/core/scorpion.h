@@ -64,18 +64,19 @@ struct Explanation {
 /// Selections (PredicateMatchCache), so rescoring cached partitions at a new
 /// c never re-filters the table — plus full merged result lists keyed by
 /// the c they were computed at, for one (table, query result, problem-sans-c)
-/// instance. Many threads may run Scorpion::ExplainShared() against one
-/// session concurrently: lookups take a shared lock, while computing the
+/// instance. Many threads may run Scorpion::Explain() against one session
+/// concurrently: lookups take a shared lock, while computing the
 /// partitioning or storing a merged result takes the exclusive lock — so a
 /// burst of same-problem requests computes DT partitions exactly once and
-/// every other request reuses them (the property the ExplanationService's
-/// batching relies on).
+/// every other request reuses them.
 class ExplainSession {
  public:
   ExplainSession() = default;
   SCORPION_DISALLOW_COPY_AND_ASSIGN(ExplainSession);
 
-  /// Drops cached partitions and merged results (and any delta seed).
+  /// Drops cached partitions and merged results (and any delta seed). The
+  /// data key stays: it only moves forward, so a run still pinned to an
+  /// older generation cannot re-key the cleared session back to it.
   void Clear();
 
   /// Re-keys the session to a newer generation of the same live table
@@ -137,10 +138,11 @@ class ExplainSession {
       SCORPION_REQUIRES(mu_);
 
   /// The (generation, row-count) the session's cached state was built
-  /// against. Unset until the first store (plain static tables never
+  /// against. Unset until the first run (plain static tables never
   /// conflict); once set, every cached read and every store must match it —
   /// the guard that keeps an in-flight run on an old generation from
   /// exchanging state with a session BeginDeltaRefresh re-keyed under it.
+  /// The key only moves forward (see AdvanceKeyLocked).
   struct DataKey {
     uint64_t generation = 0;
     size_t num_rows = 0;
@@ -158,6 +160,17 @@ class ExplainSession {
       SCORPION_REQUIRES(mu_) {
     key_ = DataKey{generation, num_rows, /*set=*/true};
   }
+
+  /// Forward-only re-key before a run reads or stores under the exclusive
+  /// lock: a run over a newer generation than the key drops the session's
+  /// state (as BeginDeltaRefresh does without a seed) and takes the key.
+  /// Returns whether the run may use the session; a run over an older
+  /// generation never may, so it never stores.
+  bool AdvanceKeyLocked(uint64_t generation, size_t num_rows)
+      SCORPION_REQUIRES(mu_);
+
+  /// Drops partitions, merged results and the delta seed; keeps the key.
+  void DropStateLocked() SCORPION_REQUIRES(mu_);
 
   mutable SharedMutex mu_;
   bool has_partitions_ SCORPION_GUARDED_BY(mu_) = false;
@@ -180,14 +193,11 @@ class ExplainSession {
 ///   Scorpion scorpion(options);
 ///   auto explanation = scorpion.Explain(table, query_result, problem);
 ///
-/// Session use (reusing work across c values, e.g. a UI slider):
-///   scorpion.Prepare(table, query_result, problem);
-///   auto e1 = scorpion.ExplainWithC(0.5);
-///   auto e2 = scorpion.ExplainWithC(0.1);  // reuses DT partitions + merges
-///
-/// Shared-session use (many requests over one problem, see src/service/):
+/// Session use (reusing work across c values, e.g. a UI slider, or across
+/// concurrent requests over one problem):
 ///   ExplainSession session;
-///   auto e = scorpion.ExplainShared(table, qr, problem, &session);
+///   auto e1 = scorpion.Explain(table, qr, problem_at_c1, &session);
+///   auto e2 = scorpion.Explain(table, qr, problem_at_c2, &session);
 ///
 /// A Scorpion instance is not safe for concurrent calls (options and the
 /// owned pool mutate between runs); concurrent callers each use their own
@@ -201,40 +211,20 @@ class Scorpion {
 
   /// Runs the configured algorithm once. `table` and `result` must outlive
   /// the returned Explanation only for predicate printing convenience.
-  Result<Explanation> Explain(const Table& table, const QueryResult& result,
-                              const ProblemSpec& problem);
-
-  /// Runs against a caller-owned, possibly concurrently shared session
-  /// (algorithm kDT only benefits; other algorithms ignore the session).
-  /// By default only result-invariant state is reused (DT partitions and
-  /// exact-c results), so every run is bit-identical to a sessionless
-  /// Explain(). Opting into `cross_c_warm_start` seeds the merge from
+  ///
+  /// `session` (optional, caller-owned, may be shared by concurrent callers)
+  /// caches DT partitions and merged results for one problem-sans-c; other
+  /// algorithms ignore it. By default only result-invariant state is reused
+  /// (DT partitions and exact-c results), so every run is bit-identical to a
+  /// sessionless one. Opting into `cross_c_warm_start` seeds the merge from
   /// results cached at a higher c (Section 8.3.3) — influence can only
   /// improve on a cold run, but the output then depends on which c values
   /// were cached first, so runs are no longer bit-reproducible under
   /// concurrency.
-  Result<Explanation> ExplainShared(const Table& table,
-                                    const QueryResult& result,
-                                    const ProblemSpec& problem,
-                                    ExplainSession* session,
-                                    bool cross_c_warm_start = false);
-
-  /// Fixes the problem instance for a session; clears caches. The table and
-  /// result must outlive the session.
-  Status Prepare(const Table& table, const QueryResult& result,
-                 ProblemSpec problem);
-
-  /// Runs with the session's problem at the given c. With caching enabled
-  /// (default) and algorithm kDT, the partitioning is computed once per
-  /// session and Merger output from the nearest cached higher c seeds the
-  /// merge (Section 8.3.3).
-  Result<Explanation> ExplainWithC(double c);
-
-  /// Enables/disables the cross-c cache (Figure 16's comparison knob).
-  void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
-
-  /// Drops cached partitions and merge results.
-  void ClearCache();
+  Result<Explanation> Explain(const Table& table, const QueryResult& result,
+                              const ProblemSpec& problem,
+                              ExplainSession* session = nullptr,
+                              bool cross_c_warm_start = false);
 
   /// Attaches an externally owned pool used instead of building one from
   /// options().num_threads; the ExplanationService shares one scoring pool
@@ -243,25 +233,13 @@ class Scorpion {
   void set_thread_pool(ThreadPool* pool) { external_pool_ = pool; }
 
  private:
-  Result<Explanation> Run(const Table& table, const QueryResult& result,
-                          const ProblemSpec& problem, ExplainSession* session,
-                          bool cross_c_warm_start);
-
   /// The external pool if set; otherwise a lazily (re)built owned pool
   /// matching options_.num_threads, or nullptr when running serially.
   ThreadPool* EnsurePool();
 
   ScorpionOptions options_;
-  bool cache_enabled_ = true;
   std::unique_ptr<ThreadPool> pool_;
   ThreadPool* external_pool_ = nullptr;
-
-  // Session state (Prepare/ExplainWithC).
-  const Table* table_ = nullptr;
-  const QueryResult* result_ = nullptr;
-  ProblemSpec problem_;
-  bool prepared_ = false;
-  ExplainSession session_;
 };
 
 }  // namespace scorpion

@@ -30,13 +30,8 @@ struct TableSnapshot;
 ///
 /// `table` and `query_result` are borrowed: they must stay alive until the
 /// response future is ready (the service never copies table data). Jobs
-/// sharing the same table, query result, problem annotations and algorithm
-/// form one session key and share cached DT partitions / merged results.
-/// The key identifies the table and query result by address, so before
-/// freeing a served table and reusing its storage, call
-/// ExplanationService::InvalidateSessions() (or keep the table alive for
-/// the service's lifetime) — a new table at a recycled address would
-/// otherwise be served the old table's cached results.
+/// share cached DT partitions / merged results only through a `session`
+/// their caller pins; the service keeps no cache of its own.
 struct Job {
   using Clock = std::chrono::steady_clock;
   /// Sentinel meaning "no deadline".
@@ -65,14 +60,10 @@ struct Job {
   /// Jobs not started by this instant complete with
   /// Status::DeadlineExceeded instead of running.
   Clock::time_point deadline = kNoDeadline;
-  /// Optional caller-pinned session (api::Dataset pins its own so sync and
-  /// async explains share one cache). When null, the service's keyed
-  /// session cache supplies one.
+  /// Optional session for one problem-sans-c, shared with the caller's
+  /// other runs (api::Dataset pins its own so sync and async explains share
+  /// one cache). Null runs the job sessionless.
   std::shared_ptr<ExplainSession> session;
-  /// Optional remote match-set data plane for this job (see
-  /// ScorpionOptions::match_source). Not owned; must outlive the response
-  /// future. The distributed Coordinator submits jobs with itself here.
-  PredicateMatchSource* match_source = nullptr;
 
   /// Sets the deadline relative to now. Rejects negative or non-finite
   /// seconds with InvalidArgument (a negative deadline would silently

@@ -1,18 +1,15 @@
 // ExplanationService: the async batched serving layer above the Scorpion
 // engine. Accepts many concurrent explanation requests, schedules them by
 // priority and deadline through a bounded queue, executes them on worker
-// threads that share one scoring ThreadPool, and reuses DT partitions /
-// merged results across requests through a keyed, LRU-bounded session cache
-// (the Section 8.3.3 cache generalized from one Prepare() session to many
-// concurrent problem keys).
+// threads that share one scoring ThreadPool, and runs each job against the
+// ExplainSession its caller pinned on it (the Section 8.3.3 cache; the
+// service holds none of its own).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/macros.h"
@@ -35,15 +32,11 @@ struct ServiceOptions {
   int num_workers = 2;
   /// Scheduler bound; beyond it, admission control sheds (see Scheduler).
   size_t max_queue_depth = 256;
-  /// Problem keys kept in the session cache; least-recently-used beyond
-  /// this are evicted (in-flight requests keep their session alive).
-  size_t session_cache_capacity = 8;
-  /// Master switch for cross-request session reuse.
-  bool cache_enabled = true;
-  /// Enables Section 8.3.3 cross-c warm starts between cached c values.
-  /// Warm-started merges only improve influence, but the output then depends
-  /// on request completion order; the default keeps every response
-  /// byte-identical to a direct Scorpion::Explain() of the same request.
+  /// Enables Section 8.3.3 cross-c warm starts between the c values cached
+  /// in a job's session. Warm-started merges only improve influence, but the
+  /// output then depends on request completion order; the default keeps
+  /// every response byte-identical to a direct Scorpion::Explain() of the
+  /// same request.
   bool cross_c_warm_start = false;
 };
 
@@ -71,24 +64,9 @@ class ExplanationService {
   /// contract).
   Response Submit(Job job);
 
-  /// Submits a batch, grouped so jobs sharing a session key are enqueued
-  /// back-to-back: the first job of each (table, query, problem, algorithm)
-  /// key computes the DT partitions once and the rest of the group reuses
-  /// them (and exact-c repeats reuse whole results). Responses are returned
-  /// in the order of `jobs`.
-  std::vector<Response> SubmitBatch(std::vector<Job> jobs);
-
   /// Cancels a queued job (its future reports Cancelled). False if the job
   /// already started, finished, or was never queued.
   bool Cancel(uint64_t id);
-
-  /// Drops every cached session. Session keys identify the borrowed tables
-  /// and query results by address, so before freeing a table the service
-  /// has served (and then reusing its storage), call this — a later table
-  /// allocated at a recycled address would otherwise hit the stale
-  /// session's cached results. In-flight requests finish safely on their
-  /// own shared_ptr reference.
-  void InvalidateSessions();
 
   /// Stops admission, cancels queued requests, and joins the workers after
   /// their in-flight requests finish. Idempotent; the destructor calls it.
@@ -100,15 +78,6 @@ class ExplanationService {
   const ServiceOptions& options() const { return options_; }
 
  private:
-  struct SessionEntry {
-    std::shared_ptr<ExplainSession> session = std::make_shared<ExplainSession>();
-    std::atomic<uint64_t> last_used{0};
-  };
-
-  /// Looks up (shared lock) or creates (exclusive lock, LRU-evicting) the
-  /// session for a problem key.
-  std::shared_ptr<ExplainSession> SessionFor(const std::string& key);
-
   void WorkerLoop();
   void Execute(ScheduledJob item);
 
@@ -117,16 +86,11 @@ class ExplanationService {
   Scheduler scheduler_;
   ServiceStats stats_;
   std::atomic<uint64_t> next_id_{1};
-  std::atomic<uint64_t> use_clock_{0};
   // Serializes Shutdown(): a concurrent second caller blocks until the
   // winner has joined the workers, so "after Shutdown() returns, nothing
   // touches the service or the borrowed tables" holds for every caller.
   Mutex shutdown_mu_;
   bool shutdown_ SCORPION_GUARDED_BY(shutdown_mu_) = false;
-
-  mutable SharedMutex sessions_mu_;
-  std::unordered_map<std::string, std::shared_ptr<SessionEntry>> sessions_
-      SCORPION_GUARDED_BY(sessions_mu_);
 
   // Spawned in the constructor, joined+cleared only by the Shutdown winner.
   std::vector<std::thread> workers_ SCORPION_GUARDED_BY(shutdown_mu_);

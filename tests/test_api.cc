@@ -446,6 +446,75 @@ TEST(DatasetExplainAsync, MatchesSynchronousExplain) {
   EXPECT_EQ(engine.service_stats().completed, cs.size());
 }
 
+TEST(DatasetExplain, WarmStartModeOnlyImprovesInfluence) {
+  // EngineOptions::cross_c_warm_start, the one public Section 8.3.3 switch:
+  // merges warm-started from the dataset's session can only improve (or
+  // tie) a cold run's influence, on the sync and the async path alike —
+  // and on this fixture they do change the ranking at some c, which shows
+  // the switch reaches both paths.
+  SynthOptions opts = SynthPreset(2, /*easy=*/true, /*seed=*/67);
+  opts.num_groups = 6;
+  opts.tuples_per_group = 250;
+  auto synth = GenerateSynth(opts);
+  ASSERT_TRUE(synth.ok());
+
+  EngineOptions options;
+  options.num_workers = 1;  // descending-c completion order, like Figure 16
+  options.cross_c_warm_start = true;
+  Engine engine(options);
+  auto sync_dataset = engine.Open(synth->table, synth->query);
+  auto async_dataset = engine.Open(synth->table, synth->query);
+  ASSERT_TRUE(sync_dataset.ok());
+  ASSERT_TRUE(async_dataset.ok());
+
+  ExplainRequest base;
+  for (const std::string& key : synth->outlier_keys) base.FlagTooHigh(key);
+  base.Holdouts(synth->holdout_keys)
+      .WithAttributes(synth->attributes)
+      .WithLambda(0.5);
+
+  const auto differs = [](const ExplainResponse& warm,
+                          const Explanation& cold) {
+    if (warm.predicates.size() != cold.predicates.size()) return true;
+    for (size_t i = 0; i < cold.predicates.size(); ++i) {
+      if (!(warm.predicates[i].pred == cold.predicates[i].pred) ||
+          warm.predicates[i].influence != cold.predicates[i].influence) {
+        return true;
+      }
+    }
+    return false;
+  };
+  bool sync_differed = false;
+  bool async_differed = false;
+  for (double c : {0.5, 0.3, 0.1}) {
+    const ExplainRequest request = ExplainRequest(base).WithC(c);
+    auto warm_sync = sync_dataset->Explain(request);
+    ASSERT_TRUE(warm_sync.ok()) << warm_sync.status().ToString();
+    auto pending = async_dataset->ExplainAsync(request);
+    ASSERT_TRUE(pending.ok()) << pending.status().ToString();
+    auto warm_async = pending->Get();
+    ASSERT_TRUE(warm_async.ok()) << warm_async.status().ToString();
+
+    Scorpion cold;
+    auto problem = sync_dataset->Resolve(request);
+    ASSERT_TRUE(problem.ok());
+    auto direct =
+        cold.Explain(synth->table, sync_dataset->result(), *problem);
+    ASSERT_TRUE(direct.ok());
+    // Extra warm-start seeds can only improve (or tie) the merge.
+    EXPECT_GE(warm_sync->predicates.front().influence,
+              direct->best().influence - 1e-12)
+        << "c=" << c;
+    EXPECT_GE(warm_async->predicates.front().influence,
+              direct->best().influence - 1e-12)
+        << "c=" << c;
+    sync_differed |= differs(*warm_sync, *direct);
+    async_differed |= differs(*warm_async, *direct);
+  }
+  EXPECT_TRUE(sync_differed);
+  EXPECT_TRUE(async_differed);
+}
+
 TEST(DatasetExplainAsync, ExpiredDeadlineAndInvalidRequests) {
   Table table = PaperSensorsTable();
   Engine engine(TinyEngineOptions());

@@ -417,5 +417,13 @@ TEST(JsonStrings, EscapesSurviveRoundTrips) {
   EXPECT_EQ(unicode->string_value(), "\xc3\xa9\xf0\x9f\x98\x80");
 }
 
+TEST(JsonEscape, EscapesSpecials) {
+  EXPECT_EQ(JsonEscapeString("plain"), "plain");
+  EXPECT_EQ(JsonEscapeString("a\"b"), "a\\\"b");
+  EXPECT_EQ(JsonEscapeString("a\\b"), "a\\\\b");
+  EXPECT_EQ(JsonEscapeString("a\nb\tc"), "a\\nb\\tc");
+  EXPECT_EQ(JsonEscapeString(std::string(1, '\x01')), "\\u0001");
+}
+
 }  // namespace
 }  // namespace scorpion

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "api/dataset.h"
+#include "common/failpoint.h"
 #include "core/scorpion.h"
 #include "eval/experiment.h"
 #include "query/groupby.h"
@@ -258,7 +259,7 @@ TEST(SessionDeltaRefresh, BitIdenticalToSessionlessRun) {
 
   ExplainSession session;
   Scorpion engine;
-  auto warm = engine.ExplainShared((*snap1)->table, *qr1, *problem1, &session);
+  auto warm = engine.Explain((*snap1)->table, *qr1, *problem1, &session);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
 
   AppendRows(live, 400, 650);
@@ -275,7 +276,7 @@ TEST(SessionDeltaRefresh, BitIdenticalToSessionlessRun) {
                                         (*snap2)->table.num_rows(), *qr1));
 
   auto refreshed =
-      engine.ExplainShared((*snap2)->table, *qr2, *problem2, &session);
+      engine.Explain((*snap2)->table, *qr2, *problem2, &session);
   ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
   EXPECT_TRUE(refreshed->session_delta_refreshed);
   // The extensions scanned delta rows — and only delta rows — per seeded
@@ -295,6 +296,49 @@ TEST(SessionDeltaRefresh, BitIdenticalToSessionlessRun) {
     EXPECT_EQ(refreshed->predicates[i].influence,
               cold->predicates[i].influence);
   }
+}
+
+// A session first used by a run pinned to an older generation is keyed to
+// that generation; a run on a newer one drops the stale state and re-keys
+// the session instead of running sessionless from then on.
+TEST(SessionDeltaRefresh, NewerGenerationRunMovesTheKeyForward) {
+  LiveTable live(SensorSchema());
+  AppendRows(live, 0, 300);
+  auto snap1 = live.Publish();
+  ASSERT_TRUE(snap1.ok());
+  auto qr1 = ExecuteGroupBy((*snap1)->table, PaperQuery());
+  ASSERT_TRUE(qr1.ok());
+  AppendRows(live, 300, 500);
+  auto snap2 = live.Publish();
+  ASSERT_TRUE(snap2.ok());
+  auto qr2 = ExtendQueryResult(*qr1, (*snap2)->table);
+  ASSERT_TRUE(qr2.ok());
+  auto problem1 = MakeProblem(*qr1, {"12PM", "1PM"}, {"11AM"}, 1.0, 0.5, 0.5,
+                              {"sensorid", "voltage"});
+  auto problem2 = MakeProblem(*qr2, {"12PM", "1PM"}, {"11AM"}, 1.0, 0.5, 0.5,
+                              {"sensorid", "voltage"});
+  ASSERT_TRUE(problem1.ok());
+  ASSERT_TRUE(problem2.ok());
+
+  ExplainSession session;
+  Scorpion engine;
+  ASSERT_TRUE(engine
+                  .Explain((*snap1)->table, *qr1, *problem1, &session)
+                  .ok());
+  auto newer = engine.Explain((*snap2)->table, *qr2, *problem2, &session);
+  ASSERT_TRUE(newer.ok()) << newer.status().ToString();
+  EXPECT_FALSE(newer->cache_partitions_hit);
+  auto repeat = engine.Explain((*snap2)->table, *qr2, *problem2, &session);
+  ASSERT_TRUE(repeat.ok()) << repeat.status().ToString();
+  EXPECT_TRUE(repeat->cache_result_hit);
+
+  // The older run, arriving late, neither reads nor stores.
+  auto late = engine.Explain((*snap1)->table, *qr1, *problem1, &session);
+  ASSERT_TRUE(late.ok()) << late.status().ToString();
+  EXPECT_FALSE(late->cache_result_hit);
+  auto still = engine.Explain((*snap2)->table, *qr2, *problem2, &session);
+  ASSERT_TRUE(still.ok());
+  EXPECT_TRUE(still->cache_result_hit);
 }
 
 // Regression: the delta seed was keyed by Predicate::ToString, which prints
@@ -453,6 +497,38 @@ TEST(LiveDataset, AsyncExplainPinsItsGenerationAcrossRefresh) {
   auto async = pending->Get();
   ASSERT_TRUE(async.ok()) << async.status().ToString();
   ExpectSameAnswer(*async, *reference);
+}
+
+// Regression: ClearCache() after a Refresh() reset the session's data key,
+// so an async run still pinned to the older generation stored its state and
+// re-keyed the session back to that generation; every later explain of the
+// annotation set then ran cold. A session's key only moves forward.
+TEST(LiveDataset, ClearCacheAfterRefreshKeepsTheSessionOnTheNewGeneration) {
+  LiveTable live(SensorSchema());
+  AppendRows(live, 0, 300);
+  Engine engine;
+  auto ld = engine.OpenLive(live, PaperQuery());
+  ASSERT_TRUE(ld.ok());
+
+  // Hold the async run (pinned to generation 1) at the worker until the
+  // dataset has moved on to generation 2 and dropped its cached state.
+  ASSERT_TRUE(
+      failpoints::ArmFromSpec("service.deadline_check=once:sleep(0.5)").ok());
+  auto pending = ld->ExplainAsync(StreamRequest());
+  ASSERT_TRUE(pending.ok()) << pending.status().ToString();
+  AppendRows(live, 300, 500);
+  ASSERT_TRUE(ld->Refresh().ok());
+  ld->ClearCache();
+  auto stale = pending->Get();
+  failpoints::Disarm("service.deadline_check");
+  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
+
+  auto first = ld->Explain(StreamRequest());
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto second = ld->Explain(StreamRequest());
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_TRUE(second->stats.cache_result_hit);
+  ExpectSameAnswer(*second, *first);
 }
 
 // --- Stress (runs under TSan: test_live_table is not TSAN_SKIP-labeled) ------

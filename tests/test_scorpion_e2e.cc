@@ -88,8 +88,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(ScorpionSession, CachedRunsMatchUncachedRuns) {
-  // Internal-engine invariant: the facade's session caching sits on
-  // Scorpion::Prepare/ExplainWithC, which must never make results worse.
+  // Internal-engine invariant: a session with cross-c warm starts (the
+  // Section 8.3.3 cache) must never make results worse than sessionless
+  // runs.
   SynthOptions opts = SynthPreset(2, /*easy=*/true, /*seed=*/3);
   opts.tuples_per_group = 500;
   auto dataset = GenerateSynth(opts);
@@ -104,17 +105,14 @@ TEST(ScorpionSession, CachedRunsMatchUncachedRuns) {
   options.algorithm = Algorithm::kDT;
 
   // Cached session: descending c (the Figure 16 access pattern).
-  Scorpion cached(options);
-  ASSERT_TRUE(cached.Prepare(dataset->table, *qr, *problem).ok());
-  cached.set_cache_enabled(true);
-
-  Scorpion uncached(options);
-  ASSERT_TRUE(uncached.Prepare(dataset->table, *qr, *problem).ok());
-  uncached.set_cache_enabled(false);
-
+  Scorpion scorpion(options);
+  ExplainSession session;
   for (double c : {0.5, 0.3, 0.1, 0.0}) {
-    auto with_cache = cached.ExplainWithC(c);
-    auto without_cache = uncached.ExplainWithC(c);
+    ProblemSpec at_c = *problem;
+    at_c.c = c;
+    auto with_cache = scorpion.Explain(dataset->table, *qr, at_c, &session,
+                                       /*cross_c_warm_start=*/true);
+    auto without_cache = scorpion.Explain(dataset->table, *qr, at_c);
     ASSERT_TRUE(with_cache.ok());
     ASSERT_TRUE(without_cache.ok());
     // The cached run sees extra warm-start seeds, so it can only do better
@@ -123,11 +121,6 @@ TEST(ScorpionSession, CachedRunsMatchUncachedRuns) {
               without_cache->best().influence - 1e-9)
         << "c=" << c;
   }
-}
-
-TEST(ScorpionSession, ExplainWithCRequiresPrepare) {
-  Scorpion scorpion;
-  EXPECT_TRUE(scorpion.ExplainWithC(0.5).status().IsInvalidArgument());
 }
 
 TEST(ScorpionValidation, RejectsBadProblems) {

@@ -2,7 +2,6 @@
 // and the shape of the returned Explanation.
 #include <gtest/gtest.h>
 
-#include "core/explanation_io.h"
 #include "core/scorpion.h"
 #include "eval/experiment.h"
 #include "workload/synth.h"
@@ -55,9 +54,6 @@ TEST(ScorpionFacade, NaiveProducesCheckpointTrace) {
   EXPECT_EQ(e->algorithm, Algorithm::kNaive);
   EXPECT_TRUE(e->naive_exhausted);
   EXPECT_FALSE(e->naive_checkpoints.empty());
-  // JSON export carries the trace.
-  std::string json = ExplanationToJson(*e, &f.dataset.table);
-  EXPECT_NE(json.find("\"checkpoints\""), std::string::npos);
 }
 
 TEST(ScorpionFacade, MCGatedOnAggregateProperties) {

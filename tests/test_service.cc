@@ -1,7 +1,8 @@
 // ExplanationService contract: concurrent Submit from many threads produces
-// results byte-identical to direct Scorpion::Explain(), batch submission
-// reuses the keyed session cache, deadlines/shedding/cancellation surface
-// the right Status codes, and the scheduler orders by priority + deadline.
+// results byte-identical to direct Scorpion::Explain(), jobs sharing a
+// pinned session reuse its cached state, deadlines/shedding/cancellation
+// surface the right Status codes, and the scheduler orders by priority +
+// deadline.
 #include "service/service.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <chrono>
 #include <future>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,13 +46,15 @@ Fixture MakeFixture(uint64_t seed, const std::string& aggregate = "SUM") {
 }
 
 Job MakeJob(const Fixture& f, double c,
-            Algorithm algorithm = Algorithm::kDT) {
+            Algorithm algorithm = Algorithm::kDT,
+            std::shared_ptr<ExplainSession> session = nullptr) {
   Job job;
   job.table = &f.dataset.table;
   job.query_result = &f.qr;
   job.problem = f.problem;
   job.problem.c = c;  // the one and only c for this job
   job.algorithm = algorithm;
+  job.session = std::move(session);
   return job;
 }
 
@@ -162,8 +166,9 @@ TEST(Scheduler, ShutdownCancelsQueuedAndRejectsNew) {
 
 TEST(ExplanationService, ConcurrentSubmitsMatchDirectExplainByteForByte) {
   // The acceptance scenario: 8 concurrent clients, ~50 mixed-c requests over
-  // 2 problem keys. Every response must be byte-identical to a direct
-  // serial Scorpion::Explain() of the same request, and the repeated keys
+  // 2 problems, each with one session every job over it shares (so TSan
+  // races a shared session). Every response must be byte-identical to a
+  // direct serial Scorpion::Explain() of the same request, and the repeats
   // must hit the session cache.
   Fixture fixtures[2] = {MakeFixture(17), MakeFixture(29)};
   const std::vector<double> cs = {0.5, 0.3, 0.1};
@@ -186,6 +191,8 @@ TEST(ExplanationService, ConcurrentSubmitsMatchDirectExplainByteForByte) {
   options.num_workers = 4;
   options.engine.num_threads = 2;  // shared scoring pool, still bit-identical
   ExplanationService service(options);
+  std::shared_ptr<ExplainSession> sessions[2] = {
+      std::make_shared<ExplainSession>(), std::make_shared<ExplainSession>()};
 
   constexpr int kClients = 8;
   constexpr int kRequestsPerClient = 7;  // 56 requests total
@@ -204,8 +211,8 @@ TEST(ExplanationService, ConcurrentSubmitsMatchDirectExplainByteForByte) {
         Issued issued;
         issued.fixture = f;
         issued.c_index = ci;
-        issued.response =
-            service.Submit(MakeJob(fixtures[f], cs[ci]));
+        issued.response = service.Submit(
+            MakeJob(fixtures[f], cs[ci], Algorithm::kDT, sessions[f]));
         per_client[t].push_back(std::move(issued));
       }
     });
@@ -226,69 +233,11 @@ TEST(ExplanationService, ConcurrentSubmitsMatchDirectExplainByteForByte) {
                                                   kRequestsPerClient));
   EXPECT_EQ(snap.completed, snap.submitted);
   EXPECT_EQ(snap.shed, 0u);
-  // 56 requests over 6 (key, c) pairs: the repeats must reuse session state.
+  // 56 requests over 6 (problem, c) pairs: the repeats must reuse session
+  // state.
   EXPECT_GT(snap.cache_partition_hits + snap.cache_result_hits, 0u);
   EXPECT_GT(snap.p95_latency_seconds, 0.0);
   EXPECT_GE(snap.p95_latency_seconds, snap.p50_latency_seconds);
-}
-
-TEST(ExplanationService, BatchGroupsByKeyAndHitsSessionCache) {
-  Fixture f = MakeFixture(41);
-  ServiceOptions options;
-  options.num_workers = 1;  // deterministic execution order
-  ExplanationService service(options);
-
-  // Same problem key throughout: first request computes the DT partitions,
-  // the repeated c reuses the whole merged result, the fresh c reuses the
-  // partitions.
-  std::vector<Job> batch;
-  batch.push_back(MakeJob(f, 0.5));
-  batch.push_back(MakeJob(f, 0.5));
-  batch.push_back(MakeJob(f, 0.2));
-  std::vector<Response> responses = service.SubmitBatch(std::move(batch));
-  ASSERT_EQ(responses.size(), 3u);
-
-  std::vector<Explanation> results;
-  for (Response& response : responses) {
-    auto result = response.future.get();
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    results.push_back(std::move(*result));
-  }
-  ExpectSameExplanation(results[0], results[1]);  // exact-c repeat
-
-  EXPECT_FALSE(results[0].cache_partitions_hit);
-  EXPECT_TRUE(results[1].cache_result_hit);
-  EXPECT_TRUE(results[2].cache_partitions_hit);
-  EXPECT_FALSE(results[2].cache_result_hit);
-
-  ServiceStatsSnapshot snap = service.stats();
-  EXPECT_GE(snap.cache_result_hits, 1u);
-  EXPECT_GE(snap.cache_partition_hits, 1u);
-  EXPECT_GT(snap.CacheHitRate(), 0.0);
-}
-
-TEST(ExplanationService, InvalidateSessionsForcesRecompute) {
-  Fixture f = MakeFixture(71);
-  ServiceOptions options;
-  options.num_workers = 1;
-  ExplanationService service(options);
-
-  auto first = service.Submit(MakeJob(f, 0.5)).future.get();
-  ASSERT_TRUE(first.ok());
-  EXPECT_FALSE(first->cache_partitions_hit);
-
-  auto warm = service.Submit(MakeJob(f, 0.5)).future.get();
-  ASSERT_TRUE(warm.ok());
-  EXPECT_TRUE(warm->cache_result_hit);
-
-  // After invalidation the same key recomputes from scratch — the path a
-  // client must take before retiring a served table.
-  service.InvalidateSessions();
-  auto cold = service.Submit(MakeJob(f, 0.5)).future.get();
-  ASSERT_TRUE(cold.ok());
-  EXPECT_FALSE(cold->cache_partitions_hit);
-  EXPECT_FALSE(cold->cache_result_hit);
-  ExpectSameExplanation(*first, *cold);
 }
 
 TEST(ExplanationService, SessionBoundsCachedCValues) {
@@ -300,19 +249,23 @@ TEST(ExplanationService, SessionBoundsCachedCValues) {
   ServiceOptions options;
   options.num_workers = 1;
   ExplanationService service(options);
+  auto session = std::make_shared<ExplainSession>();
+  auto submit = [&](double c) {
+    return service.Submit(MakeJob(f, c, Algorithm::kDT, session)).future.get();
+  };
 
   const double oldest_c = 0.90;
   double newest_c = 0.0;
   for (int i = 0; i < 17; ++i) {
     newest_c = oldest_c - 0.01 * i;
-    ASSERT_TRUE(service.Submit(MakeJob(f, newest_c)).future.get().ok());
+    ASSERT_TRUE(submit(newest_c).ok());
   }
 
-  auto newest = service.Submit(MakeJob(f, newest_c)).future.get();
+  auto newest = submit(newest_c);
   ASSERT_TRUE(newest.ok());
   EXPECT_TRUE(newest->cache_result_hit);
 
-  auto evicted = service.Submit(MakeJob(f, oldest_c)).future.get();
+  auto evicted = submit(oldest_c);
   ASSERT_TRUE(evicted.ok());
   EXPECT_FALSE(evicted->cache_result_hit);      // recomputed...
   EXPECT_TRUE(evicted->cache_partitions_hit);   // ...from cached partitions
@@ -358,31 +311,36 @@ TEST(JobDeadline, SetDeadlineAfterRejectsNegativeAndNonFinite) {
 }
 
 TEST(ExplanationService, CallerPinnedSessionWinsOverKeyedCache) {
-  // api::Dataset pins its own session on every job so its sync and async
-  // paths share one cache; the service must honor it even across
-  // InvalidateSessions() (which only drops the keyed cache).
+  // The caller's pinned session is the only cache: jobs pinning it reuse
+  // its state (api::Dataset pins its own so its sync and async paths share
+  // one cache), while a job without a session runs cold every time — the
+  // service keeps no cache of its own.
   Fixture f = MakeFixture(79);
   ServiceOptions options;
   options.num_workers = 1;
   ExplanationService service(options);
 
   auto session = std::make_shared<ExplainSession>();
-  Job first = MakeJob(f, 0.5);
-  first.session = session;
-  auto r1 = service.Submit(std::move(first)).future.get();
+  auto r1 = service.Submit(MakeJob(f, 0.5, Algorithm::kDT, session))
+                .future.get();
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
   EXPECT_FALSE(r1->cache_partitions_hit);
 
-  Job second = MakeJob(f, 0.2);
-  second.session = session;
-  auto r2 = service.Submit(std::move(second)).future.get();
+  auto r2 = service.Submit(MakeJob(f, 0.2, Algorithm::kDT, session))
+                .future.get();
   ASSERT_TRUE(r2.ok());
   EXPECT_TRUE(r2->cache_partitions_hit);
 
-  service.InvalidateSessions();
-  Job third = MakeJob(f, 0.5);
-  third.session = session;
-  auto r3 = service.Submit(std::move(third)).future.get();
+  for (int i = 0; i < 2; ++i) {
+    auto sessionless = service.Submit(MakeJob(f, 0.5)).future.get();
+    ASSERT_TRUE(sessionless.ok());
+    EXPECT_FALSE(sessionless->cache_partitions_hit);
+    EXPECT_FALSE(sessionless->cache_result_hit);
+    ExpectSameExplanation(*r1, *sessionless);
+  }
+
+  auto r3 = service.Submit(MakeJob(f, 0.5, Algorithm::kDT, session))
+                .future.get();
   ASSERT_TRUE(r3.ok());
   EXPECT_TRUE(r3->cache_result_hit);
   ExpectSameExplanation(*r1, *r3);
@@ -464,28 +422,6 @@ TEST(ExplanationService, ServesNaiveAndMCAlgorithms) {
     auto served = (algorithm == Algorithm::kMC ? mc : naive).future.get();
     ASSERT_TRUE(served.ok()) << served.status().ToString();
     ExpectSameExplanation(*direct, *served);
-  }
-}
-
-TEST(ExplanationService, WarmStartModeOnlyImprovesInfluence) {
-  Fixture f = MakeFixture(67);
-  ServiceOptions options;
-  options.num_workers = 1;  // descending-c completion order, like Figure 16
-  options.cross_c_warm_start = true;
-  ExplanationService service(options);
-
-  for (double c : {0.5, 0.3, 0.1}) {
-    auto warm = service.Submit(MakeJob(f, c)).future.get();
-    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-
-    Scorpion cold;
-    ProblemSpec problem = f.problem;
-    problem.c = c;
-    auto direct = cold.Explain(f.dataset.table, f.qr, problem);
-    ASSERT_TRUE(direct.ok());
-    // Extra warm-start seeds can only improve (or tie) the merge.
-    EXPECT_GE(warm->best().influence, direct->best().influence - 1e-12)
-        << "c=" << c;
   }
 }
 

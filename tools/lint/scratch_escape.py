@@ -13,9 +13,9 @@ dangles or gets clobbered mid-run. The rule:
     Within one function body, a name bound to a `thread_local` buffer —
     directly declared, returned by a scratch-accessor function, or aliased
     from either — must not be referenced at or after a pool dispatch
-    (`ParallelFor` / `ParallelForOver` / `Submit` / `SubmitBatch`) in the
-    same brace scope. References made from a named lambda that the dispatch
-    invokes count as references at the dispatch.
+    (`ParallelFor` / `ParallelForOver` / `Submit`) in the same brace scope.
+    References made from a named lambda that the dispatch invokes count as
+    references at the dispatch.
 
 Engines:
   * regex (default, always available): comment/string-stripped token scan
@@ -50,7 +50,7 @@ import shutil
 import subprocess
 import sys
 
-DISPATCH_CALLS = ("ParallelFor", "ParallelForOver", "Submit", "SubmitBatch")
+DISPATCH_CALLS = ("ParallelFor", "ParallelForOver", "Submit")
 AUDIT_MARKER = "scratch-escape-audited"
 
 # thread_local values of scalar type are read by value, not through a live
