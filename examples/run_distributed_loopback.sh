@@ -6,11 +6,12 @@
 # a coordinate pass that verifies the distributed answer is bit-identical
 # to the in-process engine, then shuts the workers down over the wire.
 #
-# A second pass repeats the run under fault injection: one worker armed
-# with a crash failpoint (`worker.shard_filter=once:crash`, the failpoint
-# spelling of --die-after-shards) and the coordinator flaking 2% of its
-# frame reads. The answer must still verify bit-identical — redispatch and
-# retry absorb the faults.
+# A second pass repeats the run under fault injection: the first worker
+# (where the coordinator sends its explain) armed to crash on its first
+# explain (`worker.explain=after(0):crash`; after(N-1) dies on the N-th)
+# and the coordinator flaking 2% of its frame reads. The answer must still
+# verify bit-identical — re-sending the explain to the survivor and
+# retrying absorb the faults.
 #
 # Usage: examples/run_distributed_loopback.sh [build-dir]
 set -euo pipefail
@@ -63,18 +64,18 @@ W2_PID=""
 echo "distributed loopback explain: OK"
 
 # --- Fault-injection pass -------------------------------------------------
-# Same run, now with one worker set to crash on its first shard request
-# (armed through SCORPION_FAILPOINTS; `scorpiond worker --die-after-shards 1`
-# is equivalent) and the coordinator dropping ~2% of frame reads. The
-# coordinator must declare the dead worker lost, redispatch its ranges,
-# retry the flaky reads, and still produce the bit-identical answer.
+# Same run, now with the first worker set to crash on its first explain
+# (armed through SCORPION_FAILPOINTS) and the coordinator dropping ~2% of
+# frame reads. The coordinator must declare the dead worker lost, re-send
+# the explain to the survivor, retry the flaky reads, and still produce the
+# bit-identical answer.
 echo "--- repeating under fault injection ---"
-SCORPION_FAILPOINTS="worker.shard_filter=once:crash" \
+SCORPION_FAILPOINTS="worker.explain=after(0):crash" \
   "$BIN" worker --listen 0 > "$TMP_DIR/w1.log" & W1_PID=$!
 "$BIN" worker --listen 0 > "$TMP_DIR/w2.log" & W2_PID=$!
 P1="$(wait_port "$TMP_DIR/w1.log")"
 P2="$(wait_port "$TMP_DIR/w2.log")"
-echo "workers listening on 127.0.0.1:$P1 (armed: crash on first shard) and 127.0.0.1:$P2"
+echo "workers listening on 127.0.0.1:$P1 (armed: crash on first explain) and 127.0.0.1:$P2"
 
 "$BIN" coordinate \
   --workers "127.0.0.1:$P1,127.0.0.1:$P2" \

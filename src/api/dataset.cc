@@ -250,7 +250,8 @@ Result<ExplainResponse> Dataset::Explain(const ExplainRequest& request) const {
 
 Result<PendingExplanation> Dataset::ExplainAsync(
     const ExplainRequest& request) const {
-  return SubmitPinned(*engine_, *sessions_, pinned_, request);
+  return SubmitPinned(*engine_, *sessions_, pinned_, /*stats=*/nullptr,
+                      request);
 }
 
 Result<ExplainResponse> Dataset::ExplainPinned(Engine& engine,
@@ -273,13 +274,7 @@ Result<ExplainResponse> Dataset::ExplainPinned(Engine& engine,
       Explanation explanation,
       scorpion.Explain(*pinned.table, *pinned.result, problem, session.get(),
                        engine.options().cross_c_warm_start));
-  if (stats != nullptr) {
-    if (explanation.session_delta_refreshed) {
-      ++stats->sessions_delta_refreshed;
-    }
-    stats->tail_rows_scanned +=
-        explanation.scorer_stats.tail_rows_scanned.load();
-  }
+  if (stats != nullptr) stats->RecordDeltaRefresh(explanation);
   return BuildResponse(*pinned.table, *pinned.result, problem,
                        request.what_if(), engine_options.enable_block_pruning,
                        engine.scoring_pool(), std::move(explanation));
@@ -287,7 +282,7 @@ Result<ExplainResponse> Dataset::ExplainPinned(Engine& engine,
 
 Result<PendingExplanation> Dataset::SubmitPinned(
     Engine& engine, SessionStore& sessions, Pinned pinned,
-    const ExplainRequest& request) {
+    ServiceStats* stats, const ExplainRequest& request) {
   SCORPION_ASSIGN_OR_RETURN(ProblemSpec problem,
                             request.Resolve(*pinned.result));
 
@@ -305,6 +300,7 @@ Result<PendingExplanation> Dataset::SubmitPinned(
         job.set_deadline_after(*request.deadline_seconds()));
   }
   job.session = sessions.Acquire(problem, request.algorithm());
+  job.refresh_stats = stats;
 
   Response response = engine.service().Submit(std::move(job));
   return PendingExplanation(std::move(pinned), std::move(problem),
@@ -410,7 +406,8 @@ Result<ExplainResponse> LiveDataset::Explain(
 
 Result<PendingExplanation> LiveDataset::ExplainAsync(
     const ExplainRequest& request) const {
-  return Dataset::SubmitPinned(*engine_, *sessions_, Pin(), request);
+  return Dataset::SubmitPinned(*engine_, *sessions_, Pin(), service_stats_,
+                               request);
 }
 
 // --- PendingExplanation ------------------------------------------------------

@@ -74,8 +74,10 @@ class Engine {
   /// generation until Refresh() advances it. The LiveTable is borrowed and
   /// must outlive the LiveDataset. An optional ServiceStats sink receives
   /// the ingest-plane counters (generations published, sessions delta-
-  /// refreshed, tail rows scanned) the way CoordinatorOptions wires the
-  /// distributed ones.
+  /// refreshed, tail rows scanned) of sync and async explains alike, once
+  /// per finished run, the way CoordinatorOptions wires the distributed
+  /// ones. The sink must outlive every explain submitted through the
+  /// handle.
   Result<LiveDataset> OpenLive(LiveTable& live, GroupByQuery query,
                                ServiceStats* service_stats = nullptr);
 
@@ -174,10 +176,12 @@ class Dataset {
                                                ServiceStats* stats,
                                                const ExplainRequest& request);
 
-  /// The async submit path of both handles.
+  /// The async submit path of both handles. `stats` (nullable) receives
+  /// the ingest-plane counters when the run finishes, whether or not the
+  /// caller redeems the result.
   static Result<PendingExplanation> SubmitPinned(
       Engine& engine, SessionStore& sessions, Pinned pinned,
-      const ExplainRequest& request);
+      ServiceStats* stats, const ExplainRequest& request);
 
   Engine* engine_;
   Pinned pinned_;

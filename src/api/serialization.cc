@@ -98,10 +98,8 @@ Result<uint64_t> CountFromDouble(double d, const std::string& context) {
   return static_cast<uint64_t>(d);
 }
 
-/// Table-data doubles must survive the wire bit-exactly (the content
-/// fingerprint hashes bit patterns). Finite values round-trip through the
-/// shortest-round-trip number writer; non-finite ones (JSON has no syntax
-/// for them) ride as 16-hex-digit bit-pattern strings, NaN payload included.
+}  // namespace
+
 JsonValue WireDoubleToJson(double v) {
   if (std::isfinite(v)) return JsonValue::Number(v);
   uint64_t bits;
@@ -149,6 +147,8 @@ Result<double> WireDoubleFromJson(const JsonValue& value,
   return Status::InvalidArgument(
       context + ": expected a number or a 16-hex-digit bit-pattern string");
 }
+
+namespace {
 
 const char* DataTypeToWire(DataType type) {
   return type == DataType::kDouble ? "double" : "categorical";

@@ -55,6 +55,16 @@ Result<Table> TableFromJsonValue(const JsonValue& value);
 std::string TableToJson(const Table& table);
 Result<Table> TableFromJson(const std::string& json);
 
+/// Doubles that must survive the wire bit-exactly (table data, influence
+/// scores). Finite values ride as JSON numbers through the shortest-round-
+/// trip writer; non-finite ones (JSON has no syntax for them) as
+/// 16-hex-digit bit-pattern strings, NaN payload included. The reader
+/// rejects a finite value in bit-pattern form, so each double has exactly
+/// one encoding; `context` prefixes its error messages.
+JsonValue WireDoubleToJson(double v);
+Result<double> WireDoubleFromJson(const JsonValue& value,
+                                  const std::string& context);
+
 /// GroupByQuery <-> JSON.
 JsonValue GroupByQueryToJsonValue(const GroupByQuery& query);
 Result<GroupByQuery> GroupByQueryFromJsonValue(const JsonValue& value);

@@ -12,7 +12,7 @@
 //     ...
 //   }
 //
-//   SCORPION_FAILPOINT_HIT("worker.shard_filter", hit);
+//   SCORPION_FAILPOINT_HIT("worker.explain", hit);
 //   if (hit.kind == FailpointHit::Kind::kCrash) { /* custom handling */ }
 //
 // Cost model: each macro expands to a function-local constant-initialized
@@ -38,7 +38,7 @@
 //   CODE    := io | unavailable | deadline | cancelled | internal
 //            | invalid | failed_precondition
 //
-// e.g. SCORPION_FAILPOINTS='worker.shard_filter=after(2):crash;net.write_frame=every(5):corrupt'
+// e.g. SCORPION_FAILPOINTS='worker.explain=after(2):crash;net.write_frame=every(5):corrupt'
 //
 // Registered armed state is never freed (it is retired to an immortal list
 // on disarm/re-arm), so a site racing with Disarm can never dereference a

@@ -8,8 +8,6 @@
 
 namespace scorpion {
 
-class PredicateMatchSource;
-
 /// Which partitioning algorithm the Scorpion facade runs.
 enum class Algorithm : int {
   kNaive = 0,  // Section 4.2, exhaustive with a time budget
@@ -130,12 +128,6 @@ struct ScorpionOptions {
   /// either way; the switch exists so the benches can A/B it and as an
   /// escape hatch.
   bool enable_candidate_batching = true;
-  /// When set, the engine's Scorer fetches predicate match sets from this
-  /// source instead of filtering the local table (see core/scorer.h). The
-  /// distributed Coordinator installs itself here so the search algorithms
-  /// run unchanged while the filter data plane executes on remote workers.
-  /// Not owned; must outlive every Explain call made with these options.
-  PredicateMatchSource* match_source = nullptr;
 };
 
 }  // namespace scorpion

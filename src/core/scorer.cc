@@ -183,33 +183,14 @@ double Scorer::GroupInfluence(int result_idx, const Selection& matched,
   return is_outlier ? inf * error_vector : inf;
 }
 
-Result<PredicateMatchCache> Scorer::FetchMatches(const Predicate& pred) const {
-  ++stats_.remote_match_fetches;
-  SCORPION_ASSIGN_OR_RETURN(PredicateMatchCache cache,
-                            match_source_->Matches(pred));
-  if (cache.size() != result_->results.size()) {
-    return Status::Internal(
-        "match source returned " + std::to_string(cache.size()) +
-        " group slots, expected " + std::to_string(result_->results.size()));
-  }
-  return cache;
-}
-
 Result<double> Scorer::InfluenceImpl(const Predicate* pred,
                                      const PredicateMatchCache* matches,
                                      bool with_holdouts) const {
   ++stats_.predicate_scores;
-  const bool cache_provided = matches != nullptr;
-  PredicateMatchCache fetched;
   std::optional<BoundPredicate> bound;
-  if (!cache_provided) {
-    if (match_source_ != nullptr) {
-      SCORPION_ASSIGN_OR_RETURN(fetched, FetchMatches(*pred));
-      matches = &fetched;
-    } else {
-      SCORPION_ASSIGN_OR_RETURN(bound, pred->Bind(*table_));
-      ConfigureBound(&*bound);
-    }
+  if (matches == nullptr) {
+    SCORPION_ASSIGN_OR_RETURN(bound, pred->Bind(*table_));
+    ConfigureBound(&*bound);
   }
   // On a filter error (stale bound predicate) the lambda parks the status
   // in its per-index slot and yields -inf so the fill loop stops cheaply;
@@ -217,7 +198,7 @@ Result<double> Scorer::InfluenceImpl(const Predicate* pred,
   auto group_influence = [&](int idx, bool is_outlier, double ev,
                              Status* status) {
     if (matches != nullptr) {
-      if (cache_provided) ++stats_.match_cache_hits;
+      ++stats_.match_cache_hits;
       return GroupInfluence(idx, (*matches)[idx], is_outlier, ev);
     }
     Result<Selection> matched =
@@ -277,19 +258,10 @@ Result<double> Scorer::InfluenceImpl(const Predicate* pred,
 
 Result<DetailedScore> Scorer::ScoreDetailed(const Predicate& pred) const {
   ++stats_.predicate_scores;
-  PredicateMatchCache fetched;
-  std::optional<BoundPredicate> bound;
-  if (match_source_ != nullptr) {
-    SCORPION_ASSIGN_OR_RETURN(fetched, FetchMatches(pred));
-  } else {
-    SCORPION_ASSIGN_OR_RETURN(bound, pred.Bind(*table_));
-    ConfigureBound(&*bound);
-  }
-  // Same Selection either way (the bit-identity contract on
-  // PredicateMatchSource), so the influence math below cannot diverge.
+  SCORPION_ASSIGN_OR_RETURN(BoundPredicate bound, pred.Bind(*table_));
+  ConfigureBound(&bound);
   auto matched_for = [&](int idx) -> Result<Selection> {
-    if (match_source_ != nullptr) return fetched[idx];
-    return FilterGroup(*bound, result_->results[idx].input_group);
+    return FilterGroup(bound, result_->results[idx].input_group);
   };
 
   DetailedScore out;
@@ -370,7 +342,7 @@ Result<double> Scorer::InfluenceOutlierOnly(const Predicate& pred) const {
 Result<std::vector<double>> Scorer::InfluenceAll(
     const std::vector<Predicate>& preds) const {
   const size_t n = preds.size();
-  if (!enable_candidate_batching_ || match_source_ != nullptr || n < 2) {
+  if (!enable_candidate_batching_ || n < 2) {
     return ParallelMapOver<double>(
         pool_, n, [&](size_t i) { return Influence(preds[i]); });
   }
@@ -496,11 +468,6 @@ Result<double> Scorer::InfluenceCached(const ScoredPredicate& sp) const {
 
 Result<std::shared_ptr<const PredicateMatchCache>> Scorer::BuildMatchCache(
     const Predicate& pred) const {
-  if (match_source_ != nullptr) {
-    // The source already returns the fully materialized per-group cache.
-    SCORPION_ASSIGN_OR_RETURN(PredicateMatchCache cache, FetchMatches(pred));
-    return std::make_shared<const PredicateMatchCache>(std::move(cache));
-  }
   SCORPION_ASSIGN_OR_RETURN(BoundPredicate bound, pred.Bind(*table_));
   ConfigureBound(&bound);
   PredicateMatchCache cache(result_->results.size());
@@ -522,8 +489,7 @@ Result<std::shared_ptr<const PredicateMatchCache>>
 Scorer::BuildMatchCacheExtended(const Predicate& pred,
                                 const SessionDeltaSeed* seed,
                                 size_t* seed_hits) const {
-  if (seed == nullptr || seed->old_num_rows == 0 ||
-      match_source_ != nullptr) {
+  if (seed == nullptr || seed->old_num_rows == 0) {
     return BuildMatchCache(pred);
   }
   auto seed_it = seed->matches.find(pred);

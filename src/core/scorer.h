@@ -32,30 +32,6 @@ namespace scorpion {
 
 struct CandidateBatch;
 
-/// \brief Pluggable producer of predicate match sets.
-///
-/// When installed on a Scorer (ScorpionOptions::match_source), every filter
-/// the scorer would run locally — bind + per-group Filter over the outlier
-/// and hold-out input groups — is replaced by one Matches() call, and the
-/// influence math runs over the returned Selections through the exact same
-/// cached-match code path used by ScoredPredicate::matches. Bit-identity
-/// contract: Matches() must return, for every outlier/hold-out result index,
-/// precisely the row set the local filter would produce (sorted row-id
-/// vector form over the same universe). The distributed Coordinator meets
-/// this by having workers filter disjoint block ranges of the same encoded
-/// table and concatenating the pieces in block order.
-///
-/// Matches() may be called from the engine's scoring threads; implementations
-/// must either be thread-safe or internally serialize.
-class PredicateMatchSource {
- public:
-  virtual ~PredicateMatchSource() = default;
-
-  /// Match Selections for `pred`, indexed like QueryResult::results. Only
-  /// the outlier/hold-out slots are read; other slots may stay empty.
-  virtual Result<PredicateMatchCache> Matches(const Predicate& pred) = 0;
-};
-
 /// Full breakdown of a predicate's score, used by MC's pruning rules.
 struct DetailedScore {
   /// inf(O, H, p, V).
@@ -84,10 +60,6 @@ struct ScorerStats {
   RelaxedCounter rows_filtered;
   RelaxedCounter filter_kernels;
   RelaxedCounter match_cache_hits;
-  // Match sets fetched from an installed PredicateMatchSource (one per
-  // scored predicate when the distributed data plane is active). Disjoint
-  // from match_cache_hits, which counts only caller-provided caches.
-  RelaxedCounter remote_match_fetches;
   RelaxedCounter bitmap_to_vector;
   RelaxedCounter vector_to_bitmap;
   // Zone-map block pruning (src/table/block_stats.h): blocks classified
@@ -167,8 +139,8 @@ class Scorer {
   /// enabled, consecutive predicates that differ in exactly one clause on
   /// one attribute are factored into CandidateBatches and scored through
   /// the one-pass-per-block FilterBatch plane; everything else (and the
-  /// whole list when batching is off or a match source is installed) goes
-  /// through per-predicate Influence in a ParallelMapOver. Bit-identical
+  /// whole list when batching is off) goes through per-predicate Influence
+  /// in a ParallelMapOver. Bit-identical
   /// either way: the batched filter and the batched reduction reproduce
   /// Influence's exact row sets and floating-point operation order.
   Result<std::vector<double>> InfluenceAll(
@@ -189,8 +161,8 @@ class Scorer {
   /// exactly filter(whole group). Groups the old cache never filled (only
   /// outlier/hold-out slots are built) and groups new at this generation
   /// fall back to a cold filter. `seed_hits`, when non-null, is incremented
-  /// once per group served by extension. Null `seed` (or an installed match
-  /// source) degrades to BuildMatchCache.
+  /// once per group served by extension. A null `seed` degrades to
+  /// BuildMatchCache.
   Result<std::shared_ptr<const PredicateMatchCache>> BuildMatchCacheExtended(
       const Predicate& pred, const SessionDeltaSeed* seed,
       size_t* seed_hits) const;
@@ -267,15 +239,6 @@ class Scorer {
   /// split sweep evaluates batches without filtering). Thread-safe.
   void NoteCandidateBatch() const { ++stats_.candidate_batches; }
 
-  /// Routes all match-set production through `source` (nullptr restores
-  /// local filtering). Not owned; must outlive the Scorer's scoring calls.
-  /// Caller-provided caches (ScoredPredicate::matches) still win: they are
-  /// consulted before the source.
-  void set_match_source(PredicateMatchSource* source) {
-    match_source_ = source;
-  }
-  PredicateMatchSource* match_source() const { return match_source_; }
-
   /// Counter snapshot accessor; refreshes the Selection-conversion deltas.
   ScorerStats& stats() const;
 
@@ -309,15 +272,12 @@ class Scorer {
                         bool is_outlier, double error_vector) const;
 
   /// Shared evaluation core. Match sets come from `matches` when non-null,
-  /// else from the installed match source, else from binding and filtering
-  /// `pred` locally; the reduction structure is identical for all three, so
-  /// a cached or remote rescoring is bit-identical to a cold local one.
+  /// else from binding and filtering `pred`; the reduction structure is
+  /// identical for both, so a cached rescoring is bit-identical to a cold
+  /// one.
   Result<double> InfluenceImpl(const Predicate* pred,
                                const PredicateMatchCache* matches,
                                bool with_holdouts) const;
-
-  /// One Matches() round-trip to the installed source, with counting.
-  Result<PredicateMatchCache> FetchMatches(const Predicate& pred) const;
 
   /// Scores every candidate of one batch: one FilterBatch per input group,
   /// then a per-candidate serial reduction identical to InfluenceImpl's.
@@ -329,7 +289,6 @@ class Scorer {
   const Aggregate* agg_ = nullptr;
   const Column* agg_col_ = nullptr;
   ThreadPool* pool_ = nullptr;
-  PredicateMatchSource* match_source_ = nullptr;
   bool incremental_ = false;
   bool enable_block_pruning_ = true;
   bool enable_candidate_batching_ = true;

@@ -208,7 +208,6 @@ Result<Explanation> Scorpion::Explain(const Table& table,
   scorer.set_thread_pool(EnsurePool());
   scorer.set_enable_block_pruning(options_.enable_block_pruning);
   scorer.set_enable_candidate_batching(options_.enable_candidate_batching);
-  scorer.set_match_source(options_.match_source);
 
   Explanation out;
   out.algorithm = options_.algorithm;

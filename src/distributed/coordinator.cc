@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
-#include <set>
 #include <utility>
 
 #include "api/serialization.h"
 #include "common/failpoint.h"
 #include "common/macros.h"
+#include "common/timer.h"
 #include "table/block_stats.h"
 
 namespace scorpion {
@@ -38,8 +37,8 @@ Result<std::pair<std::string, int>> ParseEndpoint(const std::string& ep) {
   return std::make_pair(ep.substr(0, colon), port);
 }
 
-/// De-correlates the shared BackoffOptions per caller (range index, worker
-/// port, ...) while staying deterministic for a given options seed.
+/// De-correlates the shared BackoffOptions per worker while staying
+/// deterministic for a given options seed.
 BackoffOptions SubSeed(BackoffOptions options, uint64_t salt) {
   options.seed ^= salt * 0x9E3779B97F4A7C15ULL;
   return options;
@@ -127,10 +126,10 @@ CoordinatorStats Coordinator::stats() const {
   CoordinatorStats stats;
   stats.workers_lost = workers_lost_.load();
   stats.workers_recovered = workers_recovered_.load();
-  stats.ranges_redispatched = ranges_redispatched_.load();
+  stats.explain_requests = explain_requests_.load();
+  stats.explains_redispatched = explains_redispatched_.load();
+  stats.local_fallbacks = local_fallbacks_.load();
   stats.bytes_on_wire = bytes_on_wire_.load();
-  stats.shard_requests = shard_requests_.load();
-  stats.local_fallback_ranges = local_fallback_ranges_.load();
   stats.failpoints_tripped = failpoints::TotalTripped();
   return stats;
 }
@@ -278,9 +277,6 @@ Status Coordinator::Publish(const Table& table, const QueryResult& result,
   num_blocks_ = num_blocks;
   session_ = session;
   table_fp_ = table_fp;
-  std::set<int> relevant(problem.outliers.begin(), problem.outliers.end());
-  relevant.insert(problem.holdouts.begin(), problem.holdouts.end());
-  relevant_.assign(relevant.begin(), relevant.end());
   return Status::OK();
 }
 
@@ -391,233 +387,98 @@ Status Coordinator::PublishDelta(const Table& table,
   num_blocks_ = num_blocks;
   session_ = session;
   table_fp_ = new_fp;
-  std::set<int> relevant(problem.outliers.begin(), problem.outliers.end());
-  relevant.insert(problem.holdouts.begin(), problem.holdouts.end());
-  relevant_.assign(relevant.begin(), relevant.end());
   if (options_.service_stats != nullptr) {
     ++options_.service_stats->snapshot_generations_published;
   }
   return Status::OK();
 }
 
-Result<std::vector<ShardGroupMatches>> Coordinator::ShardOnWorker(
-    WorkerState& worker, const Predicate& pred, const BlockRange& range,
+Result<Explanation> Coordinator::ExplainOnWorker(
+    WorkerState& worker, const ScorpionOptions& options,
     double timeout_seconds) {
-  ShardFilterRequest request;
-  request.session = session_;
-  request.pred = pred;
-  request.block_begin = range.begin;
-  request.block_end = range.end;
-  ++shard_requests_;
+  SCORPION_FAILPOINT("coordinator.dispatch");
+  JsonValue body = JsonValue::Object();
+  body.Add("session_fp", JsonValue::String(session_.ToHex()));
+  body.Add("options", ScorpionOptionsToJson(options));
+  ++explain_requests_;
   SCORPION_ASSIGN_OR_RETURN(
-      JsonValue body,
-      Call(worker, kOpShardFilter, ShardFilterRequestToJson(request),
-           timeout_seconds));
-  return ShardFilterResponseFromJson(body);
+      JsonValue response,
+      Call(worker, kOpExplain, std::move(body), timeout_seconds));
+  SCORPION_ASSIGN_OR_RETURN(
+      JsonObjectReader reader,
+      JsonObjectReader::Make(response, "explain response"));
+  SCORPION_ASSIGN_OR_RETURN(const JsonValue* explanation,
+                            reader.GetMember("explanation"));
+  SCORPION_RETURN_NOT_OK(reader.Finish());
+  return ExplanationFromJson(*explanation);
 }
 
-Result<std::vector<ShardGroupMatches>> Coordinator::FilterRangeLocally(
-    const Predicate& pred, const BlockRange& range) const {
-  // Mirrors Worker::HandleShardFilter exactly — same slicing, same filter —
-  // so a fallback range is indistinguishable from a remote one downstream.
-  const uint64_t begin_block = std::min(range.begin, num_blocks_);
-  const uint64_t end_block = std::min(range.end, num_blocks_);
-  const RowId begin_row = static_cast<RowId>(begin_block * kBlockSize);
-  const RowId end_row = static_cast<RowId>(
-      std::min<uint64_t>(end_block * kBlockSize, table_->num_rows()));
-  SCORPION_ASSIGN_OR_RETURN(BoundPredicate bound, pred.Bind(*table_));
-  std::vector<ShardGroupMatches> groups;
-  groups.reserve(relevant_.size());
-  for (int idx : relevant_) {
-    const RowIdList& rows = result_->results[idx].input_group.rows();
-    auto lo = std::lower_bound(rows.begin(), rows.end(), begin_row);
-    auto hi = std::lower_bound(rows.begin(), rows.end(), end_row);
-    Selection input =
-        Selection::FromSorted(RowIdList(lo, hi), table_->num_rows());
-    SCORPION_ASSIGN_OR_RETURN(Selection matched, bound.Filter(input));
-    ShardGroupMatches group;
-    group.index = idx;
-    group.rows = matched.rows();
-    groups.push_back(std::move(group));
+Result<Explanation> Coordinator::Explain(const ScorpionOptions& options) {
+  MutexLock lock(scatter_mu_);
+  if (table_ == nullptr) {
+    return Status::FailedPrecondition("Coordinator::Explain before Publish");
   }
-  return groups;
-}
-
-Result<std::vector<ShardGroupMatches>> Coordinator::DispatchRange(
-    const Predicate& pred, const BlockRange& range, size_t preferred) {
-  SCORPION_FAILPOINT("coordinator.dispatch_range");
+  WallTimer timer;
   Status last = Status::Unavailable("no live workers");
   const size_t n = workers_.size();
-  // Per-op deadline propagation: the whole retry budget for this range —
+  // Deadline propagation: the whole retry budget for this explain —
   // attempts, backoff sleeps and all — fits inside the configured window,
   // and each attempt's request timeout shrinks to what remains.
-  const bool bounded = options_.per_range_deadline_seconds > 0.0;
+  const bool bounded = options_.dispatch_deadline_seconds > 0.0;
   const SteadyClock::time_point deadline =
       SteadyClock::now() +
       std::chrono::duration_cast<SteadyClock::duration>(
-          std::chrono::duration<double>(options_.per_range_deadline_seconds));
-  const Backoff backoff(SubSeed(options_.backoff, range.begin + 1));
-  for (int attempt = 0; attempt < options_.max_attempts_per_range; ++attempt) {
-    // Next live worker, preferred first; later attempts rotate onward so a
-    // re-dispatched range lands on a survivor, not the same dead peer.
+          std::chrono::duration<double>(options_.dispatch_deadline_seconds));
+  const Backoff backoff(options_.backoff);
+  for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
+    // First live worker at or after `attempt`: the first try goes to the
+    // first live worker, and each retry rotates onward so a re-sent
+    // explain lands on a survivor, not the peer that just failed.
     WorkerState* chosen = nullptr;
-    size_t chosen_index = 0;
-    for (size_t k = 0; k < n; ++k) {
-      const size_t i = (preferred + static_cast<size_t>(attempt) + k) % n;
-      MutexLock lock(workers_[i]->mu);
-      if (workers_[i]->alive) {
-        chosen = workers_[i].get();
-        chosen_index = i;
-        break;
-      }
+    for (size_t k = 0; k < n && chosen == nullptr; ++k) {
+      WorkerState& worker = *workers_[(static_cast<size_t>(attempt) + k) % n];
+      MutexLock worker_lock(worker.mu);
+      if (worker.alive) chosen = &worker;
     }
     if (chosen == nullptr) break;
+    const double delay =
+        attempt > 0
+            ? backoff.DelayForAttempt(static_cast<uint64_t>(attempt) - 1)
+            : 0.0;
     double timeout = options_.request_timeout_seconds;
     if (bounded) {
-      double remaining = std::chrono::duration<double>(
-                             deadline - SteadyClock::now()).count();
-      if (attempt > 0) {
-        remaining -= backoff.DelayForAttempt(static_cast<uint64_t>(attempt) -
-                                             1);
-      }
+      const double remaining =
+          std::chrono::duration<double>(deadline - SteadyClock::now())
+              .count() -
+          delay;
       if (remaining <= 0.0) {
         last = Status::DeadlineExceeded(
-            "range [" + std::to_string(range.begin) + ", " +
-            std::to_string(range.end) + ") exhausted its dispatch deadline");
+            "explain exhausted its dispatch deadline after " +
+            std::to_string(attempt) + " attempts");
         break;
       }
       timeout = std::min(timeout, remaining);
     }
     if (attempt > 0) {
-      SleepForSeconds(
-          backoff.DelayForAttempt(static_cast<uint64_t>(attempt) - 1));
-    }
-    if (chosen_index != preferred) {
-      ++ranges_redispatched_;
+      SleepForSeconds(delay);
+      ++explains_redispatched_;
       if (options_.service_stats != nullptr) {
-        ++options_.service_stats->ranges_redispatched;
+        ++options_.service_stats->explains_redispatched;
       }
     }
-    Result<std::vector<ShardGroupMatches>> result =
-        ShardOnWorker(*chosen, pred, range, timeout);
-    if (result.ok()) return result;
+    Result<Explanation> result = ExplainOnWorker(*chosen, options, timeout);
+    if (result.ok()) {
+      result->runtime_seconds = timer.ElapsedSeconds();
+      return result;
+    }
     last = result.status();
   }
-  if (options_.allow_local_fallback && table_ != nullptr) {
-    ++local_fallback_ranges_;
-    return FilterRangeLocally(pred, range);
+  if (!options_.allow_local_fallback) {
+    return Status::Unavailable("no worker could serve the explain: " +
+                               last.ToString());
   }
-  return last;
-}
-
-Result<PredicateMatchCache> Coordinator::Matches(const Predicate& pred) {
-  MutexLock lock(scatter_mu_);
-  if (table_ == nullptr) {
-    return Status::Internal("Coordinator::Matches before Publish");
-  }
-
-  std::vector<size_t> live;
-  for (size_t i = 0; i < workers_.size(); ++i) {
-    MutexLock worker_lock(workers_[i]->mu);
-    if (workers_[i]->alive) live.push_back(i);
-  }
-
-  // Contiguous block ranges, one per live worker (fewer when there are
-  // fewer blocks than workers). Contiguity is what makes the gather a
-  // plain in-order concatenation.
-  std::vector<BlockRange> ranges;
-  std::vector<size_t> preferred;
-  if (live.empty()) {
-    if (!options_.allow_local_fallback) {
-      return Status::Unavailable("all workers lost");
-    }
-    if (num_blocks_ > 0) {
-      ranges.push_back({0, num_blocks_});
-      preferred.push_back(0);  // DispatchRange falls through to local
-    }
-  } else {
-    const uint64_t parts = std::min<uint64_t>(live.size(), num_blocks_);
-    for (uint64_t p = 0; p < parts; ++p) {
-      BlockRange range;
-      range.begin = num_blocks_ * p / parts;
-      range.end = num_blocks_ * (p + 1) / parts;
-      ranges.push_back(range);
-      preferred.push_back(live[static_cast<size_t>(p)]);
-    }
-  }
-
-  std::vector<std::optional<Result<std::vector<ShardGroupMatches>>>> shard(
-      ranges.size());
-  if (ranges.size() == 1) {
-    shard[0] = DispatchRange(pred, ranges[0], preferred[0]);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(ranges.size());
-    for (size_t r = 0; r < ranges.size(); ++r) {
-      threads.emplace_back([this, &pred, &ranges, &preferred, &shard, r] {
-        shard[r] = DispatchRange(pred, ranges[r], preferred[r]);
-      });
-    }
-    for (std::thread& t : threads) t.join();
-  }
-
-  SCORPION_FAILPOINT("coordinator.gather");
-  // Gather: concatenate each group's rows across ranges in block order.
-  // Ranges partition [0, num_blocks) left to right, and each piece is
-  // strictly ascending (validated at parse), so the concatenation is the
-  // sorted full match list — exactly what the local filter produces.
-  PredicateMatchCache cache(result_->results.size());
-  std::vector<RowIdList> merged(result_->results.size());
-  for (size_t r = 0; r < ranges.size(); ++r) {
-    SCORPION_CHECK(shard[r].has_value(), "unscattered range");
-    SCORPION_RETURN_NOT_OK(shard[r]->status());
-    const uint64_t range_first_row = ranges[r].begin * kBlockSize;
-    const uint64_t range_end_row = ranges[r].end * kBlockSize;
-    std::vector<bool> seen(result_->results.size(), false);
-    for (const ShardGroupMatches& group : **shard[r]) {
-      if (static_cast<size_t>(group.index) >= merged.size()) {
-        return Status::Internal("worker returned out-of-range group index " +
-                                std::to_string(group.index));
-      }
-      seen[group.index] = true;
-      RowIdList& rows = merged[group.index];
-      for (RowId row : group.rows) {
-        // A row outside its range (or overlapping the previous piece)
-        // would silently corrupt bit-identity; refuse instead.
-        if (row < range_first_row || row >= range_end_row ||
-            (!rows.empty() && row <= rows.back())) {
-          return Status::Internal(
-              "worker returned row " + std::to_string(row) +
-              " outside its block range [" +
-              std::to_string(range_first_row) + ", " +
-              std::to_string(range_end_row) + ")");
-        }
-        rows.push_back(row);
-      }
-    }
-    for (int idx : relevant_) {
-      if (!seen[idx]) {
-        return Status::Internal("worker response missing group " +
-                                std::to_string(idx));
-      }
-    }
-  }
-  for (int idx : relevant_) {
-    cache[idx] =
-        Selection::FromSorted(std::move(merged[idx]), table_->num_rows());
-    // Materialize vector form up front; the scoring planes only read it.
-    cache[idx].rows();
-  }
-  return cache;
-}
-
-Result<Explanation> Coordinator::Explain(ScorpionOptions options) {
-  if (table_ == nullptr) {
-    return Status::Internal("Coordinator::Explain before Publish");
-  }
-  options.match_source = this;
-  Scorpion engine(options);
-  return engine.Explain(*table_, *result_, *problem_);
+  ++local_fallbacks_;
+  return Scorpion(options).Explain(*table_, *result_, *problem_);
 }
 
 void Coordinator::ShutdownWorkers() {
@@ -689,7 +550,7 @@ Status Coordinator::ReviveWorker(WorkerState& worker) {
                 options_.request_timeout_seconds, options_.frame_limits)
           .status());
   SCORPION_RETURN_NOT_OK(PublishCatalogOnConn(conn, &next_id));
-  // Full sequence verified: close the circuit. From here scatters may pick
+  // Full sequence verified: close the circuit. From here explains may pick
   // the worker again.
   MutexLock lock(worker.mu);
   worker.conn = std::move(conn);
@@ -721,7 +582,7 @@ void Coordinator::HeartbeatLoop() {
     for (size_t i = 0; i < workers_.size(); ++i) {
       const std::unique_ptr<WorkerState>& worker = workers_[i];
       // Probe only idle workers: a worker mid-request is covered by that
-      // request's own deadline, and queueing a ping behind a long shard
+      // request's own deadline, and queueing a ping behind a long explain
       // would tell us nothing sooner.
       if (!worker->mu.TryLock()) continue;
       const bool alive = worker->alive;
@@ -738,7 +599,7 @@ void Coordinator::HeartbeatLoop() {
       // Lost worker: re-probe on the capped jittered backoff schedule.
       // Readmission needs the published state stable, so it runs under
       // scatter_mu_; TryLock keeps the heartbeat from ever stalling an
-      // in-flight scatter — the next round retries.
+      // in-flight explain — the next round retries.
       if (SteadyClock::now() < next_probe) continue;
       if (!scatter_mu_.TryLock()) continue;
       const Status revived = ReviveWorker(*worker);

@@ -1,23 +1,21 @@
 // Coordinator side of the distributed explanation service.
 //
-// The coordinator runs the full search engine locally and delegates only
-// the filter data plane: every predicate the engine scores turns into
-// shard_filter requests scattered over disjoint block ranges of the PR-5
-// block grid, one contiguous range per live worker. Workers return the
-// matched row ids of each outlier/hold-out group restricted to their range;
-// the coordinator concatenates the pieces in block order, which reproduces
-// — row for row — the sorted match list the local filter would build. All
-// influence arithmetic then runs through the engine's existing cached-match
-// path, so the distributed result is bit-identical to the in-process one
-// (asserted by test_distributed.cc for DT, MC and NAIVE).
+// The coordinator routes whole explains, not predicates. Publish() ships
+// the table, query and problem to every worker; Explain() then sends one
+// explain request to a live worker, which runs the unmodified engine over
+// the dataset it holds and returns the ranked predicates. The worker never
+// sees anything smaller than a request, and the coordinator never runs the
+// search unless it has to fall back: the answer is bit-identical to the
+// in-process engine because it *is* the in-process engine over the same
+// bytes (asserted by test_distributed.cc for DT, MC and NAIVE).
 //
-// Robustness: each request carries a deadline; a failed worker is declared
-// lost (once), its ranges re-dispatched to survivors with exponential
-// backoff, and an optional heartbeat thread probes idle workers between
-// scatters. When every worker is gone the coordinator can fall back to
-// filtering the range locally (it holds the published table), so an explain
-// in flight degrades instead of failing. All of it is observable through
-// CoordinatorStats and the ServiceStats sink.
+// Robustness: each attempt carries a deadline; a worker that fails at the
+// transport level is declared lost (once) and the explain is re-sent to the
+// next live worker with capped, jittered backoff; an optional heartbeat
+// thread probes idle workers and readmits restarted ones. When no worker
+// can serve an explain the coordinator can run it locally (it holds the
+// published table), so a request degrades instead of failing. All of it is
+// observable through CoordinatorStats and the ServiceStats sink.
 #pragma once
 
 #include <chrono>
@@ -31,7 +29,6 @@
 #include "common/backoff.h"
 #include "common/mutex.h"
 #include "common/result.h"
-#include "core/scorer.h"
 #include "core/scorpion.h"
 #include "distributed/protocol.h"
 #include "net/socket.h"
@@ -42,34 +39,36 @@ namespace scorpion {
 struct CoordinatorOptions {
   /// Dial timeout per worker during Connect().
   double connect_timeout_seconds = 5.0;
-  /// Deadline for one request/response round trip (liveness bound: a worker
-  /// that cannot answer a shard within this is treated as lost).
+  /// Deadline for one request/response round trip, an explain included
+  /// (liveness bound: a worker that cannot answer within this is treated
+  /// as lost). Raise it for explains that search longer, e.g. NAIVE with a
+  /// large time budget.
   double request_timeout_seconds = 30.0;
   /// Deadline for publish_dataset, which ships the whole table.
   double publish_timeout_seconds = 120.0;
-  /// Attempts per block range across workers before giving up on remote
-  /// execution for that range.
-  int max_attempts_per_range = 3;
-  /// Capped jittered exponential backoff, shared by range retries and the
-  /// heartbeat thread's re-probe of lost workers (each derives a
-  /// deterministic per-range / per-worker sub-seed).
+  /// Attempts per explain across workers before giving up on remote
+  /// execution for it.
+  int max_attempts = 3;
+  /// Capped jittered exponential backoff, shared by explain retries and the
+  /// heartbeat thread's re-probe of lost workers (which derives a
+  /// deterministic per-worker sub-seed).
   BackoffOptions backoff;
-  /// Absolute budget for dispatching one block range across all retries
-  /// and backoff sleeps; per-attempt request timeouts shrink to whatever
+  /// Absolute budget for dispatching one explain across all retries and
+  /// backoff sleeps; per-attempt request timeouts shrink to whatever
   /// remains. 0 disables (each attempt gets the full request timeout).
-  double per_range_deadline_seconds = 0.0;
+  double dispatch_deadline_seconds = 0.0;
   /// Probe interval of the background heartbeat thread; 0 disables it
   /// (liveness is then detected by request deadlines alone). The same
   /// thread re-probes lost workers and readmits them once a fresh
   /// connection answers ping and accepts a re-publication of the
   /// coordinator's published state (circuit-breaker half-open).
   double heartbeat_interval_seconds = 0.0;
-  /// When no worker can serve a range, filter it locally instead of
-  /// failing the explain. Bit-identical either way.
+  /// When no worker can serve an explain, run it locally instead of
+  /// failing with Unavailable. Bit-identical either way.
   bool allow_local_fallback = true;
   FrameLimits frame_limits;
   /// Optional service-level sink mirroring workers_lost /
-  /// ranges_redispatched / bytes_on_wire. Not owned.
+  /// explains_redispatched / bytes_on_wire. Not owned.
   ServiceStats* service_stats = nullptr;
 };
 
@@ -77,20 +76,22 @@ struct CoordinatorOptions {
 struct CoordinatorStats {
   uint64_t workers_lost = 0;
   uint64_t workers_recovered = 0;
-  uint64_t ranges_redispatched = 0;
+  /// explain requests sent to workers, retries included.
+  uint64_t explain_requests = 0;
+  /// Attempts after an explain's first (re-sent after a failed attempt).
+  uint64_t explains_redispatched = 0;
+  /// Explains no worker could serve, run by the local engine instead.
+  uint64_t local_fallbacks = 0;
   uint64_t bytes_on_wire = 0;
-  uint64_t shard_requests = 0;
-  uint64_t local_fallback_ranges = 0;
   /// Process-wide failpoint fires (common/failpoint.h), sampled at stats()
   /// time; 0 in any default build.
   uint64_t failpoints_tripped = 0;
 };
 
-/// \brief Scatter/gather client over a fixed worker set; plugs into the
-/// engine as its PredicateMatchSource.
-class Coordinator : public PredicateMatchSource {
+/// \brief Request router over a fixed worker set.
+class Coordinator {
  public:
-  ~Coordinator() override;
+  ~Coordinator();
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
@@ -120,14 +121,16 @@ class Coordinator : public PredicateMatchSource {
   Status PublishDelta(const Table& table, const QueryResult& result,
                       const ProblemSpec& problem);
 
-  /// PredicateMatchSource: scatter the predicate over the block grid,
-  /// gather per-group matches in block order. Thread-safe (serialized
-  /// internally); requires Publish() first.
-  Result<PredicateMatchCache> Matches(const Predicate& pred) override;
-
-  /// Convenience: run a full explain of the published problem with this
-  /// coordinator as the engine's match source.
-  Result<Explanation> Explain(ScorpionOptions options);
+  /// Explains the published problem: sends one explain request to the
+  /// first live worker and, on failure, re-sends it to the next live worker
+  /// (up to max_attempts, with backoff, within dispatch_deadline_seconds).
+  /// When no worker serves it, runs the engine locally if
+  /// allow_local_fallback, else returns Unavailable. FailedPrecondition
+  /// before Publish(). Thread-safe (explains are serialized internally).
+  /// The result carries the ranked predicates, algorithm and NAIVE trace;
+  /// runtime_seconds is the coordinator's wall time, and the per-run
+  /// scorer counters stay with whichever process ran the search.
+  Result<Explanation> Explain(const ScorpionOptions& options);
 
   size_t num_workers() const;
   size_t num_live_workers() const;
@@ -138,7 +141,7 @@ class Coordinator : public PredicateMatchSource {
 
  private:
   /// One worker endpoint. The per-worker mutex serializes use of the
-  /// connection (scatter threads and the heartbeat thread both send on it).
+  /// connection (explains and the heartbeat thread both send on it).
   struct WorkerState {
     std::string host;
     int port = 0;
@@ -153,11 +156,6 @@ class Coordinator : public PredicateMatchSource {
     std::chrono::steady_clock::time_point next_probe SCORPION_GUARDED_BY(mu){};
   };
 
-  struct BlockRange {
-    uint64_t begin = 0;
-    uint64_t end = 0;
-  };
-
   Coordinator(std::vector<std::unique_ptr<WorkerState>> workers,
               CoordinatorOptions options);
 
@@ -166,16 +164,18 @@ class Coordinator : public PredicateMatchSource {
   Result<JsonValue> Call(WorkerState& worker, const std::string& op,
                          JsonValue body, double timeout_seconds);
 
-  /// Executes one shard over one specific worker within `timeout_seconds`.
-  Result<std::vector<ShardGroupMatches>> ShardOnWorker(
-      WorkerState& worker, const Predicate& pred, const BlockRange& range,
-      double timeout_seconds);
+  /// One explain attempt on `worker` within `timeout_seconds`; the
+  /// `coordinator.dispatch` failpoint sits in front of it.
+  Result<Explanation> ExplainOnWorker(WorkerState& worker,
+                                      const ScorpionOptions& options,
+                                      double timeout_seconds)
+      SCORPION_REQUIRES(scatter_mu_);
 
   /// Half-open readmission of a lost worker: dial a fresh connection, ping
   /// it, and re-publish the catalog (published table + query result +
   /// problem, keyed by their fingerprints) on the probe connection. Only
   /// after the full sequence verifies is the connection installed and the
-  /// worker marked alive — scatters never see a partially re-provisioned
+  /// worker marked alive — explains never see a partially re-provisioned
   /// worker. Caller holds scatter_mu_ so the published state is stable.
   Status ReviveWorker(WorkerState& worker) SCORPION_REQUIRES(scatter_mu_);
 
@@ -184,15 +184,6 @@ class Coordinator : public PredicateMatchSource {
   /// session fingerprint exactly like Publish() does per live worker.
   Status PublishCatalogOnConn(Conn& conn, uint64_t* next_id)
       SCORPION_REQUIRES(scatter_mu_);
-
-  /// Runs `range` against survivors with retry/backoff, then the local
-  /// fallback. `preferred` indexes workers_.
-  Result<std::vector<ShardGroupMatches>> DispatchRange(
-      const Predicate& pred, const BlockRange& range, size_t preferred);
-
-  /// The in-process equivalent of ShardOnWorker, same restriction logic.
-  Result<std::vector<ShardGroupMatches>> FilterRangeLocally(
-      const Predicate& pred, const BlockRange& range) const;
 
   void HeartbeatLoop();
 
@@ -203,24 +194,23 @@ class Coordinator : public PredicateMatchSource {
   const Table* table_ = nullptr;
   const QueryResult* result_ = nullptr;
   const ProblemSpec* problem_ = nullptr;
-  std::vector<int> relevant_;
   uint64_t num_blocks_ = 0;
   Fingerprint session_;
   /// Fingerprint of the published table; the diff address PublishDelta
   /// extends from.
   Fingerprint table_fp_;
 
-  /// Serializes Matches() end to end: the engine may score from several
-  /// threads, but one scatter at a time keeps per-worker queueing trivial
-  /// and the failure accounting exact.
+  /// Serializes Explain(), Publish() and PublishDelta() end to end: one
+  /// request at a time keeps per-worker queueing trivial and the failure
+  /// accounting exact.
   Mutex scatter_mu_;
 
   RelaxedCounter workers_lost_;
   RelaxedCounter workers_recovered_;
-  RelaxedCounter ranges_redispatched_;
+  RelaxedCounter explain_requests_;
+  RelaxedCounter explains_redispatched_;
+  RelaxedCounter local_fallbacks_;
   RelaxedCounter bytes_on_wire_;
-  RelaxedCounter shard_requests_;
-  RelaxedCounter local_fallback_ranges_;
 
   std::thread heartbeat_thread_;
   Mutex heartbeat_mu_;

@@ -1,9 +1,9 @@
 // Wire protocol for the distributed explanation service.
 //
 // Every message is one JSON document inside one frame (net/frame.h).
-// Requests: {"scorpion_wire":2,"op":"...","id":N,"body":{...}}. Responses:
-// {"scorpion_wire":2,"id":N,"ok":true,"body":{...}} on success, or
-// {"scorpion_wire":2,"id":N,"ok":false,"error":{"code":C,"message":"..."}}
+// Requests: {"scorpion_wire":3,"op":"...","id":N,"body":{...}}. Responses:
+// {"scorpion_wire":3,"id":N,"ok":true,"body":{...}} on success, or
+// {"scorpion_wire":3,"id":N,"ok":false,"error":{"code":C,"message":"..."}}
 // where C is the sender's StatusCode — the caller gets the remote failure
 // back as a local Status with the same code.
 //
@@ -13,11 +13,19 @@
 //   extend_dataset  {table_fp, new_table_fp,
 //                    generation, delta}           -> {num_blocks}
 //   prepare_problem {table_fp, problem}           -> {session_fp}
-//   shard_filter    {session_fp, predicate,
-//                    block_begin, block_end}      -> {groups:[{index,rows}]}
+//   explain         {session_fp, options}         -> {explanation}
 //   shutdown        {}                            -> {}
 //
-// extend_dataset (wire v2) is the live-table incremental publish: instead
+// explain (wire v3) runs one whole explanation on the worker: the worker
+// looks up the prepared session and runs the unmodified engine over the
+// dataset it holds, so the answer is bit-identical to an in-process run by
+// construction (same engine, same bytes). `options` is a ScorpionOptions
+// document (ScorpionOptionsToJson) and `explanation` the ranked result
+// (ExplanationToJson). The search never crosses the wire: workers take
+// whole requests, and the coordinator only places, retries and fails them
+// over.
+//
+// extend_dataset (since v2) is the live-table incremental publish: instead
 // of reshipping the whole table after an append burst, the coordinator
 // ships only the rows past the previous generation's high-water mark
 // (`delta`, a table with the same schema), diff-addressed by the previous
@@ -41,22 +49,23 @@
 #include "common/fingerprint.h"
 #include "common/json.h"
 #include "common/result.h"
+#include "core/options.h"
 #include "core/problem.h"
-#include "predicate/predicate.h"
+#include "core/scorpion.h"
 #include "query/groupby.h"
-#include "table/types.h"
 
 namespace scorpion {
 
 /// Version stamped on every envelope; peers reject anything else.
-/// v2 added extend_dataset (incremental live-table publication).
-inline constexpr int64_t kDistributedWireVersion = 2;
+/// v2 added extend_dataset (incremental live-table publication); v3
+/// replaced the per-predicate shard op with explain.
+inline constexpr int64_t kDistributedWireVersion = 3;
 
 inline constexpr char kOpPing[] = "ping";
 inline constexpr char kOpPublishDataset[] = "publish_dataset";
 inline constexpr char kOpExtendDataset[] = "extend_dataset";
 inline constexpr char kOpPrepareProblem[] = "prepare_problem";
-inline constexpr char kOpShardFilter[] = "shard_filter";
+inline constexpr char kOpExplain[] = "explain";
 inline constexpr char kOpShutdown[] = "shutdown";
 
 /// Parse limits for documents received from a peer. Depth stays at the
@@ -92,29 +101,23 @@ Result<JsonValue> ParseResponse(const std::string& payload, uint64_t expect_id,
                                 const JsonParseLimits& limits,
                                 bool* was_remote_error = nullptr);
 
-/// \brief shard_filter request: filter one block range under one session.
-struct ShardFilterRequest {
-  Fingerprint session;
-  Predicate pred;
-  /// Block range [block_begin, block_end) over the PR-5 block grid
-  /// (table/block_stats.h, kBlockSize rows per block).
-  uint64_t block_begin = 0;
-  uint64_t block_end = 0;
-};
+/// ScorpionOptions <-> JSON, the `options` of an explain request. Covers
+/// the algorithm, top_k, every dt/mc/naive/merger knob and the two
+/// data-plane switches; num_threads stays off the wire because results are
+/// bit-identical at every thread count, so it is the worker's own setting
+/// (the decoded value keeps the default). The decoder is strict: every
+/// field is required, and unknown keys, wrong types, negative or oversized
+/// counts and negative or NaN real values are InvalidArgument.
+JsonValue ScorpionOptionsToJson(const ScorpionOptions& options);
+Result<ScorpionOptions> ScorpionOptionsFromJson(const JsonValue& value);
 
-/// \brief Matched rows of one result group within the requested range.
-struct ShardGroupMatches {
-  int index = 0;     // result index (QueryResult::results position)
-  RowIdList rows;    // matched row ids, ascending
-};
-
-JsonValue ShardFilterRequestToJson(const ShardFilterRequest& request);
-Result<ShardFilterRequest> ShardFilterRequestFromJson(const JsonValue& value);
-
-JsonValue ShardFilterResponseToJson(
-    const std::vector<ShardGroupMatches>& groups);
-Result<std::vector<ShardGroupMatches>> ShardFilterResponseFromJson(
-    const JsonValue& value);
+/// Explanation <-> JSON, the `explanation` of an explain response: the
+/// ranked predicates with their influences (exact bits, WireDoubleToJson),
+/// the algorithm, naive_exhausted and the NAIVE checkpoints. Per-run
+/// counters, timings and cache flags stay with the process that ran it.
+/// The decoder is strict like ScorpionOptionsFromJson's.
+JsonValue ExplanationToJson(const Explanation& explanation);
+Result<Explanation> ExplanationFromJson(const JsonValue& value);
 
 /// Content identity of one explanation session: table fingerprint, the
 /// query, and the problem annotations, hashed over their canonical JSON.

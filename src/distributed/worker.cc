@@ -1,15 +1,14 @@
 #include "distributed/worker.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "api/serialization.h"
 #include "common/backoff.h"
 #include "common/failpoint.h"
 #include "common/macros.h"
+#include "core/scorpion.h"
 #include "table/block_stats.h"
-#include "table/selection.h"
 
 namespace scorpion {
 
@@ -97,8 +96,8 @@ void Worker::Serve(Conn* conn) {
       continue;
     }
 
-    if (request->op == kOpShardFilter) {
-      SCORPION_FAILPOINT_HIT("worker.shard_filter", fp_hit);
+    if (request->op == kOpExplain) {
+      SCORPION_FAILPOINT_HIT("worker.explain", fp_hit);
       if (fp_hit.kind == FailpointHit::Kind::kCrash) {
         // Crash simulation: no response, every connection dropped.
         // scorpiond installs _exit in on_die so the whole process dies.
@@ -111,7 +110,7 @@ void Worker::Serve(Conn* conn) {
             fp_hit.kind == FailpointHit::Kind::kStatus
                 ? fp_hit.status
                 : Status::IOError(
-                      "failpoint 'worker.shard_filter' injected failure");
+                      "failpoint 'worker.explain' injected failure");
         const std::string err = EncodeErrorResponse(request->id, injected);
         if (!conn->WriteFrame(err).ok()) break;
         continue;
@@ -150,7 +149,7 @@ Result<JsonValue> Worker::Handle(const WireRequest& request, bool* shutdown) {
   if (request.op == kOpPrepareProblem) {
     return HandlePrepareProblem(request.body);
   }
-  if (request.op == kOpShardFilter) return HandleShardFilter(request.body);
+  if (request.op == kOpExplain) return HandleExplain(request.body);
   return Status::InvalidArgument("unknown op '" + request.op + "'");
 }
 
@@ -270,7 +269,7 @@ Result<JsonValue> Worker::HandleExtendDataset(const JsonValue& body) {
   // Re-key under the new fingerprint (the unique_ptr move keeps the Table's
   // address — and so its seeded caches — stable) and drop sessions prepared
   // against the old generation: their result indices may have shifted as
-  // groups appeared, and a shard_filter against a re-keyed dataset would
+  // groups appeared, and an explain against a re-keyed dataset would
   // otherwise hit the evicted-dataset CHECK. The coordinator re-runs
   // prepare_problem against the new fingerprint after every extend.
   std::unique_ptr<DatasetState> state = std::move(it->second);
@@ -316,58 +315,43 @@ Result<JsonValue> Worker::HandlePrepareProblem(const JsonValue& body) {
     const DatasetState& ds = *it->second;
     SCORPION_RETURN_NOT_OK(problem.Validate(ds.result));
     session = SessionFingerprint(table_fp, ds.result.query, problem);
-    std::set<int> relevant(problem.outliers.begin(), problem.outliers.end());
-    relevant.insert(problem.holdouts.begin(), problem.holdouts.end());
-    SessionState state;
-    state.table_fp_hex = table_fp_hex;
-    state.relevant.assign(relevant.begin(), relevant.end());
-    sessions_[session.ToHex()] = std::move(state);
+    sessions_[session.ToHex()] = SessionState{table_fp_hex, std::move(problem)};
   }
   JsonValue resp = JsonValue::Object();
   resp.Add("session_fp", JsonValue::String(session.ToHex()));
   return resp;
 }
 
-Result<JsonValue> Worker::HandleShardFilter(const JsonValue& body) {
-  SCORPION_ASSIGN_OR_RETURN(ShardFilterRequest request,
-                            ShardFilterRequestFromJson(body));
+Result<JsonValue> Worker::HandleExplain(const JsonValue& body) {
+  SCORPION_ASSIGN_OR_RETURN(JsonObjectReader reader,
+                            JsonObjectReader::Make(body, "explain"));
+  SCORPION_ASSIGN_OR_RETURN(std::string session_hex,
+                            reader.GetString("session_fp"));
+  SCORPION_ASSIGN_OR_RETURN(const JsonValue* options_json,
+                            reader.GetMember("options"));
+  SCORPION_RETURN_NOT_OK(reader.Finish());
+  SCORPION_ASSIGN_OR_RETURN(ScorpionOptions options,
+                            ScorpionOptionsFromJson(*options_json));
+
+  // Held for the whole run: extend_dataset appends to a dataset's table in
+  // place, so an explain must not overlap it. One coordinator serializes
+  // its explains anyway, and pings are answered without the lock.
   MutexLock lock(mu_);
-  auto session_it = sessions_.find(request.session.ToHex());
+  auto session_it = sessions_.find(session_hex);
   if (session_it == sessions_.end()) {
-    return Status::KeyError("shard_filter: unknown session " +
-                            request.session.ToHex());
+    return Status::KeyError("explain: unknown session " + session_hex);
   }
   const SessionState& session = session_it->second;
   auto dataset_it = datasets_.find(session.table_fp_hex);
   SCORPION_CHECK(dataset_it != datasets_.end(),
                  "session points at an evicted dataset");
   const DatasetState& ds = *dataset_it->second;
-
-  const uint64_t num_blocks =
-      (ds.table.num_rows() + kBlockSize - 1) / kBlockSize;
-  const uint64_t begin_block = std::min(request.block_begin, num_blocks);
-  const uint64_t end_block = std::min(request.block_end, num_blocks);
-  const RowId begin_row = static_cast<RowId>(begin_block * kBlockSize);
-  const RowId end_row = static_cast<RowId>(
-      std::min<uint64_t>(end_block * kBlockSize, ds.table.num_rows()));
-
-  SCORPION_ASSIGN_OR_RETURN(BoundPredicate bound,
-                            request.pred.Bind(ds.table));
-  std::vector<ShardGroupMatches> groups;
-  groups.reserve(session.relevant.size());
-  for (int idx : session.relevant) {
-    const RowIdList& rows = ds.result.results[idx].input_group.rows();
-    auto lo = std::lower_bound(rows.begin(), rows.end(), begin_row);
-    auto hi = std::lower_bound(rows.begin(), rows.end(), end_row);
-    Selection input =
-        Selection::FromSorted(RowIdList(lo, hi), ds.table.num_rows());
-    SCORPION_ASSIGN_OR_RETURN(Selection matched, bound.Filter(input));
-    ShardGroupMatches group;
-    group.index = idx;
-    group.rows = matched.rows();
-    groups.push_back(std::move(group));
-  }
-  return ShardFilterResponseToJson(groups);
+  SCORPION_ASSIGN_OR_RETURN(
+      Explanation explanation,
+      Scorpion(options).Explain(ds.table, ds.result, session.problem));
+  JsonValue resp = JsonValue::Object();
+  resp.Add("explanation", ExplanationToJson(explanation));
+  return resp;
 }
 
 }  // namespace scorpion

@@ -1,10 +1,12 @@
 // Worker side of the distributed explanation service: a small threaded TCP
-// server holding published datasets and answering shard_filter requests —
-// "filter this predicate over these result groups, restricted to this block
-// range". The worker never runs the search algorithms; it is a remote
-// filter data plane. All state is keyed by content fingerprints, never by
-// process-local addresses, so a coordinator can talk to any worker that
-// holds the same data.
+// server holding published datasets and answering explain requests. An
+// explain names a prepared session (dataset + problem) and carries the
+// engine options; the worker runs the unmodified in-process engine over
+// the dataset it holds and returns the ranked explanation. The whole
+// search runs here — nothing of it crosses the wire — so a worker's answer
+// is bit-identical to a local run over the same bytes. All state is keyed
+// by content fingerprints, never by process-local addresses, so a
+// coordinator can talk to any worker that holds the same data.
 #pragma once
 
 #include <functional>
@@ -26,7 +28,7 @@ namespace scorpion {
 struct WorkerOptions {
   FrameLimits frame_limits;
   /// Runs after an in-process crash simulation: when the
-  /// `worker.shard_filter` failpoint (common/failpoint.h) fires a `crash`
+  /// `worker.explain` failpoint (common/failpoint.h) fires a `crash`
   /// action, the worker drops every connection and the listener — exactly
   /// what a crashed process looks like to the coordinator — then invokes
   /// this hook (scorpiond installs _exit here so the whole process dies,
@@ -69,7 +71,7 @@ class Worker {
   Result<JsonValue> HandlePublishDataset(const JsonValue& body);
   Result<JsonValue> HandleExtendDataset(const JsonValue& body);
   Result<JsonValue> HandlePrepareProblem(const JsonValue& body);
-  Result<JsonValue> HandleShardFilter(const JsonValue& body);
+  Result<JsonValue> HandleExplain(const JsonValue& body);
 
   /// One published (table, query result) pair, keyed by table fingerprint.
   /// unique_ptr keeps addresses stable while the map grows — and lets
@@ -85,8 +87,7 @@ class Worker {
   /// One prepared problem, keyed by session fingerprint.
   struct SessionState {
     std::string table_fp_hex;
-    /// Result indices a shard_filter must report: outliers ∪ hold-outs.
-    std::vector<int> relevant;
+    ProblemSpec problem;
   };
 
   WorkerOptions options_;

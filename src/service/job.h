@@ -20,6 +20,7 @@
 #include "core/problem.h"
 #include "core/scorpion.h"
 #include "query/groupby.h"
+#include "service/stats.h"
 #include "table/table.h"
 
 namespace scorpion {
@@ -64,6 +65,11 @@ struct Job {
   /// other runs (api::Dataset pins its own so sync and async explains share
   /// one cache). Null runs the job sessionless.
   std::shared_ptr<ExplainSession> session;
+  /// Optional second sink for this run's ingest-plane counters
+  /// (sessions_delta_refreshed, tail_rows_scanned), fed once when the run
+  /// finishes, besides the service's own stats (api::LiveDataset passes
+  /// the sink given to Engine::OpenLive). Not owned; must outlive the job.
+  ServiceStats* refresh_stats = nullptr;
 
   /// Sets the deadline relative to now. Rejects negative or non-finite
   /// seconds with InvalidArgument (a negative deadline would silently

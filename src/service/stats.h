@@ -10,6 +10,7 @@
 #include "common/atomic_counter.h"
 #include "common/failpoint.h"
 #include "common/mutex.h"
+#include "core/scorpion.h"
 
 namespace scorpion {
 
@@ -29,15 +30,15 @@ struct ServiceStatsSnapshot {
   // the rows whose column data was never read.
   uint64_t blocks_pruned = 0;
   uint64_t rows_skipped_by_pruning = 0;
-  // Distributed data plane (src/distributed/): workers declared dead
-  // (missed heartbeats or exhausted request retries), lost workers
-  // readmitted by the heartbeat thread's re-probe loop after a successful
-  // ping + catalog re-publication, block ranges re-dispatched to surviving
-  // workers after a failure, and total frame bytes (headers included)
-  // exchanged with workers.
+  // Distributed routing (src/distributed/): workers declared dead
+  // (missed heartbeats or failed requests), lost workers readmitted by the
+  // heartbeat thread's re-probe loop after a successful ping + catalog
+  // re-publication, explains re-sent to another worker after a failed
+  // attempt, and total frame bytes (headers included) exchanged with
+  // workers.
   uint64_t workers_lost = 0;
   uint64_t workers_recovered = 0;
-  uint64_t ranges_redispatched = 0;
+  uint64_t explains_redispatched = 0;
   uint64_t bytes_on_wire = 0;
   // Process-wide fault-injection fires (common/failpoint.h), sampled from
   // the registry at Snapshot() time. Always 0 in a default build — CI
@@ -80,11 +81,19 @@ class ServiceStats {
   RelaxedCounter rows_skipped_by_pruning;
   RelaxedCounter workers_lost;
   RelaxedCounter workers_recovered;
-  RelaxedCounter ranges_redispatched;
+  RelaxedCounter explains_redispatched;
   RelaxedCounter bytes_on_wire;
   RelaxedCounter snapshot_generations_published;
   RelaxedCounter sessions_delta_refreshed;
   RelaxedCounter tail_rows_scanned;
+
+  /// Counts one finished run's live-table delta refresh: whether it
+  /// extended a refreshed session's match caches, and the tail rows that
+  /// extension scanned.
+  void RecordDeltaRefresh(const Explanation& explanation) {
+    if (explanation.session_delta_refreshed) ++sessions_delta_refreshed;
+    tail_rows_scanned += explanation.scorer_stats.tail_rows_scanned.load();
+  }
 
   /// Records one completed request's submit-to-completion latency. Samples
   /// live in a fixed-size ring, so quantiles cover the most recent
@@ -114,7 +123,7 @@ class ServiceStats {
     snap.rows_skipped_by_pruning = rows_skipped_by_pruning.load();
     snap.workers_lost = workers_lost.load();
     snap.workers_recovered = workers_recovered.load();
-    snap.ranges_redispatched = ranges_redispatched.load();
+    snap.explains_redispatched = explains_redispatched.load();
     snap.failpoints_tripped = failpoints::TotalTripped();
     snap.bytes_on_wire = bytes_on_wire.load();
     snap.snapshot_generations_published =

@@ -1,6 +1,8 @@
 #include "storage/live_table.h"
 
+#include <string>
 #include <utility>
+#include <variant>
 
 #include "common/failpoint.h"
 #include "common/macros.h"
@@ -9,47 +11,91 @@
 
 namespace scorpion {
 
-LiveTable::LiveTable(Schema schema)
-    : schema_(schema), staging_(std::move(schema)) {}
+LiveTable::LiveTable(Schema schema) : schema_(std::move(schema)) {
+  for (const Field& field : schema_.fields()) pending_.emplace_back(field.type);
+}
 
 Status LiveTable::Append(const std::vector<Value>& values) {
+  // Checked up front so a rejected row leaves every column as it was.
+  if (static_cast<int>(values.size()) != schema_.num_fields()) {
+    return Status::InvalidArgument(
+        "row arity " + std::to_string(values.size()) + " != schema arity " +
+        std::to_string(schema_.num_fields()));
+  }
+  for (int c = 0; c < schema_.num_fields(); ++c) {
+    if (schema_.field(c).type == DataType::kDouble &&
+        !std::holds_alternative<double>(values[c])) {
+      return Status::TypeError("string value appended to a double column");
+    }
+  }
   MutexLock lock(mu_);
-  return staging_.AppendRow(values);
+  for (size_t c = 0; c < pending_.size(); ++c) {
+    SCORPION_RETURN_NOT_OK(pending_[c].AppendValue(values[c]));
+  }
+  ++pending_rows_;
+  return Status::OK();
+}
+
+size_t LiveTable::num_rows_locked() const {
+  const size_t published =
+      published_ == nullptr ? 0 : published_->table.num_rows();
+  return published + pending_rows_;
 }
 
 size_t LiveTable::num_rows() const {
   MutexLock lock(mu_);
-  return staging_.num_rows();
+  return num_rows_locked();
 }
+
+namespace {
+
+/// `head` then `tail`, allocated at its exact final size.
+template <typename T>
+std::vector<T> Concat(const std::vector<T>& head, const std::vector<T>& tail) {
+  std::vector<T> out;
+  out.reserve(head.size() + tail.size());
+  out.insert(out.end(), head.begin(), head.end());
+  out.insert(out.end(), tail.begin(), tail.end());
+  return out;
+}
+
+}  // namespace
 
 Result<std::shared_ptr<const TableSnapshot>> LiveTable::Publish() {
   SCORPION_FAILPOINT("storage.live_publish");
   MutexLock lock(mu_);
-  const size_t n = staging_.num_rows();
-  if (published_ != nullptr && published_->table.num_rows() == n) {
+  if (published_ != nullptr && pending_rows_ == 0) {
     // Nothing appended since the last publish: the existing generation is
     // already an exact image, so don't mint an identical new one (that
     // would needlessly invalidate readers' generation comparisons).
     return published_;
   }
+  const size_t n = num_rows_locked();
 
   // The snapshot's Table must be built at its final address: Table's
   // derived caches (and TableBlockStats' back-pointer) do not survive a
   // move, so seeding before the object settles would be wasted or wrong.
   auto snap = std::make_shared<TableSnapshot>(schema_);
 
-  // Exact encoded copy, column by column. SetCategoricalData restores the
-  // dictionary in staging's interning order, so row codes are bytewise
-  // identical — the property both fingerprint-state reuse and sealed-block
-  // zone-map reuse depend on.
-  for (int c = 0; c < staging_.num_columns(); ++c) {
-    const Column& src = staging_.column(c);
-    Column& dst = snap->table.column(c);
-    if (src.type() == DataType::kDouble) {
-      SCORPION_RETURN_NOT_OK(dst.SetDoubleData(src.doubles()));
-    } else {
+  // Exact encoded copy, column by column: the previous generation's rows,
+  // then the pending ones. Pending categoricals carry the dictionary in
+  // interning order (a superset of the previous generation's), so row
+  // codes are bytewise identical to the previous generation's — the
+  // property both fingerprint-state reuse and sealed-block zone-map reuse
+  // depend on.
+  for (size_t c = 0; c < pending_.size(); ++c) {
+    const int col = static_cast<int>(c);
+    const Column& tail = pending_[c];
+    const Column empty(tail.type());
+    const Column& head =
+        published_ == nullptr ? empty : published_->table.column(col);
+    Column& dst = snap->table.column(col);
+    if (tail.type() == DataType::kDouble) {
       SCORPION_RETURN_NOT_OK(
-          dst.SetCategoricalData(src.codes(), src.dictionary()));
+          dst.SetDoubleData(Concat(head.doubles(), tail.doubles())));
+    } else {
+      SCORPION_RETURN_NOT_OK(dst.SetCategoricalData(
+          Concat(head.codes(), tail.codes()), tail.dictionary()));
     }
   }
   SCORPION_RETURN_NOT_OK(snap->table.FinalizeColumnwiseBuild());
@@ -67,6 +113,8 @@ Result<std::shared_ptr<const TableSnapshot>> LiveTable::Publish() {
     snap->table.SeedDerivedCaches(published_->table);
   }
 
+  for (Column& tail : pending_) tail.ClearRows();
+  pending_rows_ = 0;
   published_ = std::move(snap);
   return published_;
 }
@@ -83,12 +131,12 @@ uint64_t LiveTable::generation() const {
 
 size_t LiveTable::sealed_rows() const {
   MutexLock lock(mu_);
-  return (staging_.num_rows() / kBlockSize) * kBlockSize;
+  return (num_rows_locked() / kBlockSize) * kBlockSize;
 }
 
 size_t LiveTable::tail_rows() const {
   MutexLock lock(mu_);
-  return staging_.num_rows() % kBlockSize;
+  return num_rows_locked() % kBlockSize;
 }
 
 }  // namespace scorpion

@@ -4,12 +4,17 @@
 // cache (zone maps, fingerprints, session match Selections) is keyed on the
 // table's identity and row count, and BoundPredicate aborts if the table
 // grew under it. LiveTable is the ingest-side answer: rows stream into a
-// mutable staging table, and Publish() freezes the current contents as an
-// immutable, generation-numbered TableSnapshot that readers pin for the
-// whole duration of an Explain/FilterBatch/scatter call. Appends landing
-// after the pin are invisible to that reader; the next Publish makes them
-// visible to *new* readers atomically (LSM-buffer style, without the
-// compaction half: sealed data is never rewritten).
+// small pending buffer, and Publish() freezes the latest generation plus
+// those rows as a new immutable, generation-numbered TableSnapshot that
+// readers pin for the whole duration of an Explain/FilterBatch call.
+// Appends landing after the pin are invisible to that reader; the next
+// Publish makes them visible to *new* readers atomically (LSM-buffer
+// style, without the compaction half: sealed data is never rewritten).
+//
+// The LiveTable keeps no full copy of its own: the latest snapshot is the
+// only image of the published rows, and the pending buffer holds just the
+// rows appended since. A publish therefore holds at most two full copies:
+// the previous generation, which readers may still pin, and the new one.
 //
 // Row space is organised on the same 4096-row grid the zone maps use
 // (kBlockSize, table/block_stats.h): the prefix covered by full blocks is
@@ -47,8 +52,9 @@ namespace scorpion {
 ///
 /// Holds a frozen, self-contained copy of the live contents at publish
 /// time: same schema, same values, byte-identical column encoding (the
-/// categorical dictionaries are copied in interning order, so row codes
-/// match the staging table's and sealed-block derived state carries over).
+/// categorical dictionaries are copied in interning order, so a row's
+/// codes are the same in every generation and sealed-block derived state
+/// carries over).
 /// All of Table's lazily built caches (zone maps, fingerprint) live on this
 /// copy and are seeded from the previous generation at publish, so they
 /// only pay for rows past the previous high-water mark.
@@ -73,8 +79,7 @@ struct TableSnapshot {
 ///
 /// Thread-safe: any number of appender and reader threads. Append() and
 /// Publish() serialise on an internal mutex; snapshot() hands out the
-/// latest published generation under the same mutex (pointer copy only, so
-/// readers never wait on an in-progress publish for more than the swap).
+/// latest published generation under the same mutex (pointer copy only).
 /// Typical shape: one writer thread appending + publishing on a cadence,
 /// reader threads pinning `snapshot()` once per Explain call.
 class LiveTable {
@@ -84,19 +89,21 @@ class LiveTable {
 
   const Schema& schema() const { return schema_; }
 
-  /// Appends one row to the staging tail; `values` must match the schema.
-  /// Invisible to readers until the next Publish().
+  /// Appends one row to the pending buffer; `values` must match the
+  /// schema's arity and types. A rejected row appends nothing. Invisible to
+  /// readers until the next Publish().
   Status Append(const std::vector<Value>& values);
 
   /// Total rows appended so far (including unpublished tail rows).
   size_t num_rows() const;
 
-  /// Freezes the current contents as a new generation and publishes it as
-  /// the snapshot() result. Derived caches (zone maps, fingerprint hasher
-  /// states) are seeded from the previous generation, so the publish and
-  /// the first reads against it cost O(rows since last publish). If
-  /// nothing was appended since the last Publish, returns the existing
-  /// snapshot without minting a new generation.
+  /// Freezes the current contents (the previous generation's rows, then
+  /// the pending ones) as a new generation and publishes it as the
+  /// snapshot() result. Derived caches (zone maps, fingerprint hasher
+  /// states) are seeded from the previous generation, so the first reads
+  /// against it cost O(rows since last publish); the copy itself is
+  /// O(rows). If nothing was appended since the last Publish, returns the
+  /// existing snapshot without minting a new generation.
   Result<std::shared_ptr<const TableSnapshot>> Publish();
 
   /// Latest published generation, or null before the first Publish().
@@ -107,17 +114,22 @@ class LiveTable {
   /// Generation number of the latest published snapshot (0 = none yet).
   uint64_t generation() const;
 
-  /// Rows of the staging table covered by full sealed blocks / past them.
-  /// num_rows() == sealed_rows() + tail_rows().
+  /// Rows (published and pending) covered by full sealed blocks / past
+  /// them. num_rows() == sealed_rows() + tail_rows().
   size_t sealed_rows() const;
   size_t tail_rows() const;
 
  private:
+  size_t num_rows_locked() const SCORPION_REQUIRES(mu_);
+
   const Schema schema_;
   mutable Mutex mu_;
-  /// Mutable ingest buffer. Never handed out — readers only ever see the
-  /// frozen copies in published snapshots.
-  Table staging_ SCORPION_GUARDED_BY(mu_);
+  /// Rows appended since the last Publish, one column per field. Never
+  /// handed out. The categorical columns keep their dictionaries across
+  /// publishes (Column::ClearRows), so a pending row's codes are the ones
+  /// it has in every generation that contains it.
+  std::vector<Column> pending_ SCORPION_GUARDED_BY(mu_);
+  size_t pending_rows_ SCORPION_GUARDED_BY(mu_) = 0;
   uint64_t next_generation_ SCORPION_GUARDED_BY(mu_) = 1;
   std::shared_ptr<const TableSnapshot> published_ SCORPION_GUARDED_BY(mu_);
 };

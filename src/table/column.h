@@ -54,6 +54,14 @@ class Column {
   Status SetCategoricalData(std::vector<int32_t> codes,
                             std::vector<std::string> dictionary);
 
+  /// Drops every row but keeps the dictionary, so strings appended
+  /// afterwards get the codes they would have had without the drop (the
+  /// LiveTable's pending rows stay encoded like its published generations).
+  void ClearRows() {
+    doubles_.clear();
+    codes_.clear();
+  }
+
   // --- Access (unchecked, hot path) ---------------------------------------
 
   double GetDouble(RowId row) const { return doubles_[row]; }

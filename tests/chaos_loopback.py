@@ -13,12 +13,18 @@ Contract per replay (the robustness bar the chaos harness enforces):
   exit 1                  -> DIVERGENCE: silent wrong answer. Always a bug.
   signal / other exits    -> crash. Always a bug.
   timeout                 -> hang. Always a bug.
+Every replay must also trip its schedule at least once: the coordinator
+reports its own fires in its JSON summary, and each worker prints
+"FAILPOINTS_TRIPPED <n>" when it exits (workers the run left running are
+shut down over the wire first).
 
 Usage: chaos_loopback.py <path-to-scorpiond> [--schedules N]
 """
 import json
 import os
 import signal
+import socket
+import struct
 import subprocess
 import sys
 
@@ -26,31 +32,81 @@ TUPLES_PER_GROUP = 800  # 10 groups -> 8000 rows -> 2 blocks of 4096
 RUN_TIMEOUT_SECONDS = 240
 
 # (worker SCORPION_FAILPOINTS, coordinator --failpoints). Seeds live in the
-# specs, so any failing schedule replays from this table alone. Worker-side
-# `crash` is a real _exit mid-request; the coordinator side never arms
-# `crash` (the coordinate process is the one being graded).
+# specs, so any failing schedule replays from this table alone. Both workers
+# get the same worker spec, and each process counts its own evaluations.
+# Worker-side `crash` is a real _exit mid-request; the coordinator side
+# never arms `crash` (the coordinate process is the one being graded).
+#
+# A run is short, so triggers count frames exactly. The coordinator writes
+# (and reads) ping x2, publish+prepare x2, then the explain as its 7th
+# frame and every retry after it; a worker writes (and reads) ping,
+# publish, prepare, then the explain as its 4th frame. The 2 s heartbeat
+# rarely lands inside a run; when it does, a trigger fires on a nearby
+# frame instead, which the contract above covers just the same.
 SCHEDULES = [
-    # The PR 7 crash test, now spelled as a failpoint: one worker process
-    # dies on its first shard_filter; redispatch must still match local.
-    ("worker.shard_filter=once:crash", ""),
-    # Dies later, mid-scatter, after serving some shards.
-    ("worker.shard_filter=after(3):crash", ""),
-    # Workers corrupt every 29th response frame: garbage envelopes, worker
-    # declared lost, ranges redispatched.
-    ("net.write_frame=every(29):corrupt", ""),
-    # Coordinator corrupts every 23rd request frame.
-    ("", "net.write_frame=every(23):corrupt"),
-    # Flaky reads on the coordinator: retries and redispatch.
-    ("", "net.read_frame=prob(0.02,41):error(io)"),
-    # Flaky reads on the workers: requests lost mid-parse.
-    ("net.read_frame=prob(0.02,42):error(io)", ""),
-    # Publish-path fault: the run either fails cleanly before any scatter
-    # or proceeds unharmed on the surviving worker.
+    # Each worker process dies on its first explain: the first worker
+    # takes the explain and dies, the retry kills the second, and the
+    # coordinator falls back to the local engine.
+    ("worker.explain=once:crash", ""),
+    # Each worker answers its first explain with an error: the retry goes
+    # to the second worker (also an error), the third attempt back to the
+    # first, which now serves it.
+    ("worker.explain=once:error(unavailable)", ""),
+    # Workers corrupt their 4th response frame (the explain's): garbage
+    # envelopes, workers declared lost, local fallback.
+    ("net.write_frame=every(4):corrupt", ""),
+    # Coordinator corrupts its 7th request frame (the first explain): that
+    # worker is lost and the second serves the retry.
+    ("", "net.write_frame=every(7):corrupt"),
+    # Coordinator fails its 7th read (the first explain's response): that
+    # worker is lost and the second serves the retry.
+    ("", "net.read_frame=every(7):error(io)"),
+    # Workers fail their 4th read (the explain request): connections drop.
+    ("net.read_frame=every(4):error(io)", ""),
+    # Publish-path fault on both workers: the run fails cleanly before any
+    # explain is sent.
     ("worker.prepare_problem=once:error(unavailable)", ""),
-    # Mixed: remote shard errors plus truncated coordinator sends.
-    ("worker.shard_filter=prob(0.05,43):error(internal)",
-     "net.write_frame=prob(0.01,44):truncate"),
+    # Mixed: each worker's first explain errors and the coordinator
+    # truncates its 8th send (the first retry), so the third attempt
+    # serves it.
+    ("worker.explain=once:error(internal)",
+     "net.write_frame=every(8):truncate"),
 ]
+
+
+def shutdown_worker(port):
+    """Sends a wire shutdown to a worker the run left running."""
+    payload = json.dumps({"scorpion_wire": 3, "op": "shutdown", "id": 1,
+                          "body": {}}).encode()
+    frame = b"SCP1" + struct.pack(">I", len(payload)) + payload
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as s:
+            s.sendall(frame)
+            s.recv(1 << 16)  # the reply (or EOF) — either way it was read
+    except OSError:
+        pass  # not listening any more: it already exited
+
+
+def reap_worker(proc, port):
+    """Stops one worker and returns the fires it reported (0 if none)."""
+    # A worker whose read failpoint eats the shutdown frame stays up; each
+    # retry is a later evaluation, so a few attempts get through.
+    for _ in range(3):
+        if proc.poll() is not None:
+            break
+        shutdown_worker(port)
+        try:
+            proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            pass
+    if proc.poll() is None:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=10)
+    tripped = 0
+    for line in proc.stdout.read().splitlines():
+        if line.startswith("FAILPOINTS_TRIPPED "):
+            tripped = int(line.split()[1])
+    return tripped
 
 
 def start_worker(binary, failpoints):
@@ -106,22 +162,27 @@ def run_schedule(binary, index, worker_spec, coord_spec):
             summary = json.loads(result.stdout.strip().splitlines()[-1])
             if summary.get("matches_local") is not True:
                 raise SystemExit(f"DIVERGENCE (unflagged): {label}")
-            return "verified"
-        if result.returncode == 3:
-            return "clean_failure"
-        if result.returncode == 1 or "DIVERGENCE" in result.stdout:
+            outcome = "verified"
+        elif result.returncode == 3:
+            summary = json.loads(result.stdout.strip().splitlines()[-1])
+            outcome = "clean_failure"
+        elif result.returncode == 1 or "DIVERGENCE" in result.stdout:
             raise SystemExit(f"DIVERGENCE: {label}")
-        raise SystemExit(
-            f"CRASH: coordinate exited {result.returncode} under {label}")
+        else:
+            raise SystemExit(
+                f"CRASH: coordinate exited {result.returncode} under {label}")
+        tripped = summary["failpoints_tripped"]
+        for proc, port in workers:
+            tripped += reap_worker(proc, port)
+        workers = []
+        print(f"    tripped {tripped}")
+        if tripped == 0:
+            raise SystemExit(f"schedule never fired: {label}")
+        return outcome
     finally:
-        # Crashed workers already exited; survivors of a failed run (no
-        # --shutdown-workers reached them) must not leak.
-        for proc, _ in workers:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                proc.send_signal(signal.SIGKILL)
-                proc.wait(timeout=10)
+        # Survivors of an aborted replay must not leak.
+        for proc, port in workers:
+            reap_worker(proc, port)
 
 
 def main():

@@ -5,10 +5,17 @@
 // diverging answer — the distributed layer's robustness contract.
 //
 // Schedules stay away from the `crash` action on every site except
-// worker.shard_filter: that is the one site whose crash is an in-process
+// worker.explain: that is the one site whose crash is an in-process
 // simulation (the worker halts itself); anywhere else `crash` means
 // CrashNow(), which exits the process for real (exercised by
 // tests/chaos_loopback.py instead).
+//
+// A replay is short: with arming after Connect(), the frames up to the
+// explain are publish/prepare to each worker (8 frames counting both
+// directions) and then the explain request and response (frames 9 and
+// 10), plus whatever the 50 ms heartbeat interleaves. Every trigger below
+// is sized to fire within that budget, and each replay asserts that its
+// schedule tripped at least once.
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,8 +33,7 @@
 namespace scorpion {
 namespace {
 
-// 10 groups x 800 rows = 8000 rows = 2 blocks: every scatter still spans
-// multiple ranges with two workers, but each chaos replay stays fast.
+// 10 groups x 800 rows = 8000 rows = 2 blocks: each chaos replay stays fast.
 constexpr int kTuplesPerGroup = 800;
 
 struct Instance {
@@ -98,7 +104,7 @@ bool RunSchedule(const std::string& schedule, Algorithm algorithm,
   options.backoff.base_seconds = 0.002;
   options.backoff.max_seconds = 0.02;
   options.heartbeat_interval_seconds = 0.05;  // the re-probe loop runs too
-  options.per_range_deadline_seconds = 10.0;
+  options.dispatch_deadline_seconds = 10.0;
   auto coordinator = Coordinator::Connect(endpoints, std::move(options));
   SCORPION_CHECK(coordinator.ok(), "connect failed");
 
@@ -106,6 +112,16 @@ bool RunSchedule(const std::string& schedule, Algorithm algorithm,
   struct DisarmGuard {
     ~DisarmGuard() { failpoints::DisarmAll(); }
   } guard;
+  // TotalTripped() only grows, so its growth over this replay counts the
+  // schedule's fires — checked on every exit path too.
+  const uint64_t tripped_before = failpoints::TotalTripped();
+  struct TripCheck {
+    uint64_t before;
+    ~TripCheck() {
+      EXPECT_GT(failpoints::TotalTripped(), before)
+          << "schedule never fired";
+    }
+  } trip_check{tripped_before};
   SCORPION_CHECK(failpoints::ArmFromSpec(schedule).ok(),
                  ("bad schedule: " + schedule).c_str());
 
@@ -133,29 +149,31 @@ class ChaosSoak : public ::testing::Test {
 // The DT pool: every wire and control-plane site, each under a different
 // deterministic trigger. Seeds are part of the spec, so a failing schedule
 // reproduces with a one-line env var:
-//   SCORPION_FAILPOINTS='<schedule>' ./test_distributed
+//   SCORPION_FAILPOINTS='<schedule>' ./test_chaos
 const char* const kDtSchedules[] = {
-    // Worker crash mid-scatter (in-process simulation) + flaky reads.
-    "worker.shard_filter=once:crash;net.read_frame=prob(0.02,11):error(io)",
-    // Scattered request failures: retries and redispatch do the work.
-    "coordinator.dispatch_range=prob(0.15,7):error(unavailable)",
-    // Corrupted frames mid-stream: garbage envelopes mark workers lost.
-    "net.write_frame=every(13):corrupt",
-    // Truncated sends: connections die mid-frame.
-    "net.write_frame=every(17):truncate",
+    // Worker crash mid-explain (in-process simulation) + flaky reads.
+    "worker.explain=once:crash;net.read_frame=prob(0.02,11):error(io)",
+    // A failed first attempt: the explain is re-sent to the next worker.
+    "coordinator.dispatch=once:error(unavailable)",
+    // A corrupted frame around the explain request: a garbage envelope
+    // marks a worker lost.
+    "net.write_frame=every(9):corrupt",
+    // A truncated send around the explain response: the connection dies
+    // mid-frame.
+    "net.write_frame=every(10):truncate",
     // Slow wire: deadline pressure without failures.
-    "net.read_frame=prob(0.05,3):sleep(0.005)",
+    "net.read_frame=every(3):sleep(0.005)",
     // Publish-path faults: the run either never starts or is unharmed.
     "worker.publish_dataset=once:error(io);"
     "worker.prepare_problem=prob(0.5,5):error(unavailable)",
-    // Everything at once, probabilistically. (No dispatch_range here: that
-    // site fails the range before the retry loop, so its errors end the
-    // run instead of exercising recovery — schedule 2 covers it.)
-    "net.read_frame=prob(0.01,21):error(io);"
-    "net.write_frame=prob(0.01,22):corrupt;"
-    "worker.shard_filter=prob(0.02,24):error(internal)",
-    // Gather-side injection right before assembly.
-    "coordinator.gather=prob(0.2,9):error(unavailable)",
+    // Several at once, probabilistically, with a remote error on the first
+    // explain so the retry path always runs.
+    "net.read_frame=prob(0.05,21):error(io);"
+    "net.write_frame=prob(0.05,22):corrupt;"
+    "worker.explain=once:error(internal)",
+    // Every attempt fails before it is sent: the explain falls back to the
+    // local engine.
+    "coordinator.dispatch=always:error(unavailable)",
 };
 
 TEST_F(ChaosSoak, DtSchedulesConvergeOrFailCleanly) {
@@ -182,8 +200,8 @@ TEST_F(ChaosSoak, McSurvivesWireFaults) {
   auto reference = engine.Explain(inst.dataset.table, inst.qr, inst.problem);
   ASSERT_TRUE(reference.ok());
   RunSchedule(
-      "net.write_frame=every(19):corrupt;"
-      "worker.shard_filter=once:crash",
+      "net.write_frame=every(9):corrupt;"
+      "worker.explain=once:crash",
       Algorithm::kMC, inst, *reference);
 }
 
@@ -192,8 +210,8 @@ TEST_F(ChaosSoak, NaiveSurvivesWireFaults) {
   Scorpion engine(EngineOptions(Algorithm::kNaive));
   auto reference = engine.Explain(inst.dataset.table, inst.qr, inst.problem);
   ASSERT_TRUE(reference.ok());
-  RunSchedule("net.read_frame=prob(0.01,31):error(io)", Algorithm::kNaive,
-              inst, *reference);
+  RunSchedule("net.read_frame=every(7):error(io)", Algorithm::kNaive, inst,
+              *reference);
 }
 
 }  // namespace

@@ -184,7 +184,18 @@ TEST(LiveTable, AppendRejectsSchemaMismatch) {
   EXPECT_FALSE(live.Append({std::string("11AM"), std::string("1"),
                             std::string("2.64"), 0.4, 34.0})
                    .ok());
+  // A rejected row appends nothing, not even the leading categoricals or
+  // a dictionary entry for a string first seen in it.
+  EXPECT_FALSE(live.Append({std::string("9PM"), std::string("7"), 2.6,
+                            std::string("0.4"), 34.0})
+                   .ok());
   EXPECT_EQ(live.num_rows(), 0u);
+
+  AppendRows(live, 0, 9);
+  auto snap = live.Publish();
+  ASSERT_TRUE(snap.ok());
+  EXPECT_EQ((*snap)->table.fingerprint(), ScratchTable(9).fingerprint());
+  EXPECT_EQ((*snap)->table.column(0).CodeOf("9PM"), -1);
 }
 
 // --- Incremental derived state ----------------------------------------------
@@ -497,6 +508,36 @@ TEST(LiveDataset, AsyncExplainPinsItsGenerationAcrossRefresh) {
   auto async = pending->Get();
   ASSERT_TRUE(async.ok()) << async.status().ToString();
   ExpectSameAnswer(*async, *reference);
+}
+
+// Regression: an async explain fed its delta-refresh counters only to the
+// engine's service stats, never to the sink given to OpenLive (the sync
+// path did). Both paths now count into the sink once per finished run.
+TEST(LiveDataset, AsyncExplainFeedsTheOpenLiveSink) {
+  LiveTable live(SensorSchema());
+  AppendRows(live, 0, 600);
+  ServiceStats sink;
+  Engine engine;
+  auto ld = engine.OpenLive(live, PaperQuery(), &sink);
+  ASSERT_TRUE(ld.ok()) << ld.status().ToString();
+  auto warm = ld->Explain(StreamRequest());
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+
+  AppendRows(live, 600, 900);
+  ASSERT_TRUE(ld->Refresh().ok());
+  auto pending = ld->ExplainAsync(StreamRequest());
+  ASSERT_TRUE(pending.ok()) << pending.status().ToString();
+  auto refreshed = pending->Get();
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+
+  // The engine's snapshot counts the async run alone; the sink also saw
+  // the cold sync warm-up, which refreshed nothing.
+  const ServiceStatsSnapshot served = engine.service_stats();
+  const ServiceStatsSnapshot sunk = sink.Snapshot(0);
+  EXPECT_EQ(served.sessions_delta_refreshed, 1u);
+  EXPECT_EQ(served.tail_rows_scanned, 900u);
+  EXPECT_EQ(sunk.sessions_delta_refreshed, served.sessions_delta_refreshed);
+  EXPECT_EQ(sunk.tail_rows_scanned, served.tail_rows_scanned);
 }
 
 // Regression: ClearCache() after a Refresh() reset the session's data key,

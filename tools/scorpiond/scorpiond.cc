@@ -1,16 +1,16 @@
 // scorpiond: the distributed explanation service on the command line.
 //
 //   scorpiond worker --listen <port> [--host <addr>] [--failpoints SPEC]
-//             [--die-after-shards N]
 //     Serves the wire protocol until a shutdown op arrives. Prints
 //     "LISTENING <port>" on stdout once bound (port 0 picks an ephemeral
 //     port), which is what examples/run_distributed_loopback.sh and the
-//     multi-process ctest drivers wait for. --failpoints arms the named
-//     fault-injection schedule (common/failpoint.h grammar); the
-//     SCORPION_FAILPOINTS env var works too. --die-after-shards N is sugar
-//     for arming `worker.shard_filter` to crash on its N-th request — the
-//     process _exits, for exercising the coordinator's re-dispatch and
-//     re-probe paths end to end.
+//     multi-process ctest scripts wait for, and "FAILPOINTS_TRIPPED <n>"
+//     when it exits. --failpoints arms the named fault-injection schedule
+//     (common/failpoint.h grammar); the SCORPION_FAILPOINTS env var works
+//     too. A `crash` action on `worker.explain` (e.g.
+//     `worker.explain=after(N-1):crash`, dying on the N-th explain) _exits
+//     the process mid-request, for exercising the coordinator's re-dispatch
+//     and re-probe paths end to end.
 //
 //   scorpiond coordinate --workers <host:port,...> [--algorithm dt|mc|naive]
 //             [--tuples-per-group N] [--verify-local] [--shutdown-workers]
@@ -18,8 +18,9 @@
 //     Generates a deterministic SYNTH instance, publishes it to the
 //     workers, runs a distributed explain, and prints a JSON summary.
 //     --verify-local also runs the in-process engine on the same problem
-//     (with every failpoint disarmed) and fails (exit 1) unless the
-//     distributed answer is bit-identical. Under --failpoints, a run that
+//     (with every failpoint disarmed) and fails (exit 1) unless every
+//     ranked predicate and influence of the distributed answer is
+//     bit-identical. Under --failpoints, a run that
 //     fails with a clean error Status exits 3 — chaos drivers treat that as
 //     a pass (injected faults may legitimately fail the run; only a
 //     divergence, crash, or hang is a bug).
@@ -49,7 +50,7 @@ int Usage() {
       stderr,
       "usage:\n"
       "  scorpiond worker --listen <port> [--host <addr>]"
-      " [--failpoints SPEC] [--die-after-shards N]\n"
+      " [--failpoints SPEC]\n"
       "  scorpiond coordinate --workers <host:port,...>"
       " [--algorithm dt|mc|naive] [--tuples-per-group N]"
       " [--verify-local] [--shutdown-workers] [--failpoints SPEC]"
@@ -101,11 +102,16 @@ int CleanFailure(const char* where, const Status& status) {
   return 3;
 }
 
+void PrintTripped() {
+  std::printf("FAILPOINTS_TRIPPED %llu\n",
+              static_cast<unsigned long long>(failpoints::TotalTripped()));
+  std::fflush(stdout);
+}
+
 int RunWorker(int argc, char** argv) {
   std::string host = "127.0.0.1";
   std::string failpoints_spec;
   int port = -1;
-  int die_after_shards = 0;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--listen" && i + 1 < argc) {
@@ -114,8 +120,6 @@ int RunWorker(int argc, char** argv) {
       host = argv[++i];
     } else if (arg == "--failpoints" && i + 1 < argc) {
       failpoints_spec = argv[++i];
-    } else if (arg == "--die-after-shards" && i + 1 < argc) {
-      die_after_shards = std::atoi(argv[++i]);
     } else {
       return Usage();
     }
@@ -125,17 +129,14 @@ int RunWorker(int argc, char** argv) {
   if (!failpoints_spec.empty()) {
     TOOL_CHECK_OK(failpoints::ArmFromSpec(failpoints_spec));
   }
-  if (die_after_shards > 0) {
-    // CrashAfter(N-1) fires on evaluation N: the N-th shard_filter request.
-    failpoints::Arm("worker.shard_filter",
-                    failpoints::Config::CrashAfter(
-                        static_cast<uint64_t>(die_after_shards) - 1));
-  }
-
   WorkerOptions options;
-  // A real crash: no destructors, no flushes, the sockets just vanish.
-  // Only reached when a crash action fires on worker.shard_filter.
-  options.on_die = [] { std::_Exit(0); };
+  // A real crash: no destructors, the sockets just vanish. Only reached
+  // when a crash action fires on worker.explain; the trip count still
+  // reaches the chaos harness, which checks that its schedule fired.
+  options.on_die = [] {
+    PrintTripped();
+    std::_Exit(0);
+  };
   Result<std::unique_ptr<Worker>> worker =
       Worker::Start(host, port, std::move(options));
   TOOL_CHECK_OK(worker);
@@ -145,6 +146,7 @@ int RunWorker(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   (*worker)->Stop();
+  PrintTripped();
   return 0;
 }
 
@@ -158,6 +160,28 @@ std::vector<std::string> SplitEndpoints(const std::string& list) {
     start = comma + 1;
   }
   return endpoints;
+}
+
+/// Empty when every ranked predicate and influence of `remote` equals
+/// `local`'s bit for bit; otherwise describes the first difference.
+std::string Divergence(const Explanation& remote, const Explanation& local) {
+  if (remote.predicates.size() != local.predicates.size()) {
+    return "remote ranked " + std::to_string(remote.predicates.size()) +
+           " predicates, local " + std::to_string(local.predicates.size());
+  }
+  for (size_t i = 0; i < remote.predicates.size(); ++i) {
+    const ScoredPredicate& r = remote.predicates[i];
+    const ScoredPredicate& l = local.predicates[i];
+    if (r.pred.ToString() != l.pred.ToString() ||
+        std::memcmp(&r.influence, &l.influence, sizeof(double)) != 0) {
+      char buf[96];
+      std::snprintf(buf, sizeof(buf), " %.17g vs %.17g", r.influence,
+                    l.influence);
+      return "rank " + std::to_string(i) + ": remote=" + r.pred.ToString() +
+             " local=" + l.pred.ToString() + buf;
+    }
+  }
+  return "";
 }
 
 int RunCoordinate(int argc, char** argv) {
@@ -251,18 +275,18 @@ int RunCoordinate(int argc, char** argv) {
           JsonValue::String(remote->best().pred.ToString(&dataset->table)));
   out.Add("influence", JsonValue::Number(remote->best().influence));
   out.Add("runtime_seconds", JsonValue::Number(remote->runtime_seconds));
-  out.Add("shard_requests",
-          JsonValue::Number(static_cast<double>(stats.shard_requests)));
+  out.Add("explain_requests",
+          JsonValue::Number(static_cast<double>(stats.explain_requests)));
   out.Add("bytes_on_wire",
           JsonValue::Number(static_cast<double>(stats.bytes_on_wire)));
   out.Add("workers_lost",
           JsonValue::Number(static_cast<double>(stats.workers_lost)));
   out.Add("workers_recovered",
           JsonValue::Number(static_cast<double>(stats.workers_recovered)));
-  out.Add("ranges_redispatched",
-          JsonValue::Number(static_cast<double>(stats.ranges_redispatched)));
-  out.Add("local_fallback_ranges",
-          JsonValue::Number(static_cast<double>(stats.local_fallback_ranges)));
+  out.Add("explains_redispatched",
+          JsonValue::Number(static_cast<double>(stats.explains_redispatched)));
+  out.Add("local_fallbacks",
+          JsonValue::Number(static_cast<double>(stats.local_fallbacks)));
   out.Add("failpoints_tripped",
           JsonValue::Number(static_cast<double>(stats.failpoints_tripped)));
 
@@ -275,16 +299,10 @@ int RunCoordinate(int argc, char** argv) {
     Result<Explanation> local =
         engine.Explain(dataset->table, *qr, *problem);
     TOOL_CHECK_OK(local);
-    const bool match =
-        remote->best().pred.ToString() == local->best().pred.ToString() &&
-        remote->best().influence == local->best().influence;
-    out.Add("matches_local", JsonValue::Bool(match));
-    if (!match) {
-      std::fprintf(stderr, "scorpiond: DIVERGENCE remote=%s/%.17g local=%s/%.17g\n",
-                   remote->best().pred.ToString().c_str(),
-                   remote->best().influence,
-                   local->best().pred.ToString().c_str(),
-                   local->best().influence);
+    const std::string divergence = Divergence(*remote, *local);
+    out.Add("matches_local", JsonValue::Bool(divergence.empty()));
+    if (!divergence.empty()) {
+      std::fprintf(stderr, "scorpiond: DIVERGENCE %s\n", divergence.c_str());
       exit_code = 1;
     }
   }
