@@ -1,9 +1,12 @@
-// ExplanationService throughput: requests/sec and p50/p95 latency vs.
-// concurrent client count on the expense workload. Each client submits a
-// stream of mixed-c DT requests over one problem, every job pinning the
-// same session, so it serves most of them from cached partitions or exact-c
+// Async serving throughput: requests/sec and p50/p95 latency vs. concurrent
+// client count on the expense workload, through the public path
+// (Dataset::ExplainAsync on an Engine with 4 async workers). Each client
+// submits a stream of mixed-c DT requests over one annotation set, so the
+// dataset's session serves most of them from cached partitions or exact-c
 // results — the serving-layer analogue of Figure 16's caching win. Exits 1
-// if the session served nothing on every row.
+// if any request fails, if any async answer's ranked predicates differ from
+// a sync Explain of the same request on a separate dataset, or if the
+// session served nothing on every row.
 //
 // Usage: bench_service_throughput [--tiny]
 //   --tiny   CI smoke configuration (seconds, not minutes).
@@ -18,7 +21,6 @@
 #include "api/dataset.h"
 #include "common/timer.h"
 #include "eval/experiment.h"
-#include "service/service.h"
 #include "storage/live_table.h"
 #include "workload/expense.h"
 
@@ -54,18 +56,32 @@ int main(int argc, char** argv) {
   opts.num_recipients = tiny ? 200 : 1000;
   auto dataset = GenerateExpense(opts);
   BENCH_CHECK_OK(dataset);
-  auto qr = ExecuteGroupBy(dataset->table, dataset->query);
-  BENCH_CHECK_OK(qr);
-  auto problem = MakeProblem(*qr, dataset->outlier_keys,
-                             dataset->holdout_keys, +1.0, /*lambda=*/0.8,
-                             /*c=*/1.0, dataset->attributes);
-  BENCH_CHECK_OK(problem);
+  ExplainRequest base;
+  for (const std::string& key : dataset->outlier_keys) base.FlagTooHigh(key);
+  base.Holdouts(dataset->holdout_keys)
+      .WithAttributes(dataset->attributes)
+      .WithLambda(0.8)
+      .WithWhatIf(false);
   std::printf("rows=%zu days=%d workers=4 hw_threads=%u\n",
               dataset->table.num_rows(), opts.num_days,
               std::thread::hardware_concurrency());
 
   const std::vector<double> cs = {1.0, 0.7, 0.5, 0.3};
   const int requests_per_client = tiny ? 4 : 16;
+
+  // The answer every async request must match: a sync Explain per c on a
+  // dataset of its own, so neither path feeds the other's session.
+  std::vector<std::vector<RankedPredicate>> expected;
+  {
+    Engine engine;
+    auto reference = engine.Open(dataset->table, dataset->query);
+    BENCH_CHECK_OK(reference);
+    for (double c : cs) {
+      auto response = reference->Explain(ExplainRequest(base).WithC(c));
+      BENCH_CHECK_OK(response);
+      expected.push_back(response->predicates);
+    }
+  }
 
   TablePrinter table({"clients", "requests", "wall(s)", "req/s", "p50(ms)",
                       "p95(ms)", "cache-hit", "shed"});
@@ -74,39 +90,48 @@ int main(int argc, char** argv) {
   double max_hit_rate = 0.0;
   ServiceStatsSnapshot last_snap;
   for (int clients : {1, 2, 4, 8}) {
-    ServiceOptions service_options;
-    service_options.num_workers = 4;
-    service_options.max_queue_depth = 1024;
-    ExplanationService service(service_options);
-    // One session per row, so every row starts cold.
-    auto session = std::make_shared<ExplainSession>();
+    // A fresh Engine and Dataset per row, so every row starts cold and
+    // reports its own service counters.
+    EngineOptions engine_options;
+    engine_options.num_workers = 4;
+    engine_options.max_queue_depth = 1024;
+    Engine engine(engine_options);
+    auto served = engine.Open(dataset->table, dataset->query);
+    BENCH_CHECK_OK(served);
 
+    struct Issued {
+      size_t c_index;
+      Result<PendingExplanation> pending;
+    };
     const int total = clients * requests_per_client;
-    std::vector<std::vector<Response>> responses(
-        static_cast<size_t>(clients));
+    std::vector<std::vector<Issued>> issued(static_cast<size_t>(clients));
     WallTimer timer;
     std::vector<std::thread> client_threads;
     for (int t = 0; t < clients; ++t) {
       client_threads.emplace_back([&, t] {
         for (int r = 0; r < requests_per_client; ++r) {
-          Job job;
-          job.table = &dataset->table;
-          job.query_result = &*qr;
-          job.problem = *problem;
-          job.problem.c = cs[static_cast<size_t>(t + r) % cs.size()];
-          job.session = session;
-          responses[static_cast<size_t>(t)].push_back(
-              service.Submit(std::move(job)));
+          const size_t ci = static_cast<size_t>(t + r) % cs.size();
+          issued[static_cast<size_t>(t)].push_back(
+              {ci, served->ExplainAsync(ExplainRequest(base).WithC(cs[ci]))});
         }
       });
     }
     for (std::thread& t : client_threads) t.join();
 
     int failures = 0;
-    for (auto& client_responses : responses) {
-      for (Response& response : client_responses) {
-        auto result = response.future.get();
-        if (!result.ok()) ++failures;
+    int mismatches = 0;
+    for (auto& client_issued : issued) {
+      for (Issued& one : client_issued) {
+        if (!one.pending.ok()) {
+          ++failures;
+          continue;
+        }
+        auto response = one.pending->Get();
+        if (!response.ok()) {
+          ++failures;
+        } else if (response->predicates != expected[one.c_index]) {
+          ++mismatches;
+        }
       }
     }
     const double wall = timer.ElapsedSeconds();
@@ -114,8 +139,14 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "FATAL: %d requests failed\n", failures);
       return 1;
     }
+    if (mismatches > 0) {
+      std::fprintf(stderr,
+                   "FATAL: %d async answers differ from the sync Explain\n",
+                   mismatches);
+      return 1;
+    }
 
-    ServiceStatsSnapshot snap = service.stats();
+    ServiceStatsSnapshot snap = engine.service_stats();
     last_snap = snap;
     total_blocks_pruned += snap.blocks_pruned;
     total_rows_skipped += snap.rows_skipped_by_pruning;
@@ -148,6 +179,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FATAL: the session cache served no request\n");
     return 1;
   }
+  std::printf("async answers: all match the sync Explain\n");
   std::printf("zone-map pruning across all runs: %llu blocks answered from "
               "stats, %llu rows never read\n",
               static_cast<unsigned long long>(total_blocks_pruned),

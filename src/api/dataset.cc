@@ -151,12 +151,8 @@ ServiceStatsSnapshot Engine::service_stats() const {
 ExplanationService& Engine::service() {
   MutexLock lock(service_mu_);
   if (service_ == nullptr) {
-    ServiceOptions service_options;
-    service_options.engine = options_.engine;
-    service_options.num_workers = options_.num_workers;
-    service_options.max_queue_depth = options_.max_queue_depth;
-    service_options.cross_c_warm_start = options_.cross_c_warm_start;
-    service_ = std::make_unique<ExplanationService>(service_options);
+    service_ = std::make_unique<ExplanationService>(
+        ServiceOptions{options_.num_workers, options_.max_queue_depth});
   }
   return *service_;
 }
@@ -254,6 +250,23 @@ Result<PendingExplanation> Dataset::ExplainAsync(
                       request);
 }
 
+Result<Explanation> Dataset::Run(Engine& engine, const Pinned& pinned,
+                                 const ProblemSpec& problem,
+                                 Algorithm algorithm, size_t top_k,
+                                 ExplainSession* session, ServiceStats* stats) {
+  ScorpionOptions engine_options = engine.options().engine;
+  engine_options.algorithm = algorithm;
+  if (top_k > 0) engine_options.top_k = top_k;
+  Scorpion scorpion(engine_options);
+  scorpion.set_thread_pool(engine.scoring_pool());
+  SCORPION_ASSIGN_OR_RETURN(
+      Explanation explanation,
+      scorpion.Explain(*pinned.table, *pinned.result, problem, session,
+                       engine.options().cross_c_warm_start));
+  if (stats != nullptr) stats->RecordDeltaRefresh(explanation);
+  return explanation;
+}
+
 Result<ExplainResponse> Dataset::ExplainPinned(Engine& engine,
                                                SessionStore& sessions,
                                                const Pinned& pinned,
@@ -261,22 +274,15 @@ Result<ExplainResponse> Dataset::ExplainPinned(Engine& engine,
                                                const ExplainRequest& request) {
   SCORPION_ASSIGN_OR_RETURN(ProblemSpec problem,
                             request.Resolve(*pinned.result));
-
-  ScorpionOptions engine_options = engine.options().engine;
-  engine_options.algorithm = request.algorithm();
-  if (request.top_k() > 0) engine_options.top_k = request.top_k();
-  Scorpion scorpion(engine_options);
-  scorpion.set_thread_pool(engine.scoring_pool());
-
   std::shared_ptr<ExplainSession> session =
       sessions.Acquire(problem, request.algorithm());
   SCORPION_ASSIGN_OR_RETURN(
       Explanation explanation,
-      scorpion.Explain(*pinned.table, *pinned.result, problem, session.get(),
-                       engine.options().cross_c_warm_start));
-  if (stats != nullptr) stats->RecordDeltaRefresh(explanation);
+      Run(engine, pinned, problem, request.algorithm(), request.top_k(),
+          session.get(), stats));
   return BuildResponse(*pinned.table, *pinned.result, problem,
-                       request.what_if(), engine_options.enable_block_pruning,
+                       request.what_if(),
+                       engine.options().engine.enable_block_pruning,
                        engine.scoring_pool(), std::move(explanation));
 }
 
@@ -287,26 +293,22 @@ Result<PendingExplanation> Dataset::SubmitPinned(
                             request.Resolve(*pinned.result));
 
   Job job;
-  job.table = pinned.table;
-  job.query_result = pinned.result.get();
-  job.query_result_owner = pinned.result;
-  job.snapshot = pinned.snapshot;
-  job.problem = problem;
-  job.algorithm = request.algorithm();
-  job.top_k = request.top_k();
   job.priority = request.priority();
   if (request.deadline_seconds().has_value()) {
     SCORPION_RETURN_NOT_OK(
         job.set_deadline_after(*request.deadline_seconds()));
   }
-  job.session = sessions.Acquire(problem, request.algorithm());
-  job.refresh_stats = stats;
+  job.run = [&engine, pinned, problem, algorithm = request.algorithm(),
+             top_k = request.top_k(),
+             session = sessions.Acquire(problem, request.algorithm()),
+             stats] {
+    return Run(engine, pinned, problem, algorithm, top_k, session.get(),
+               stats);
+  };
 
   Response response = engine.service().Submit(std::move(job));
-  return PendingExplanation(std::move(pinned), std::move(problem),
-                            request.what_if(),
-                            engine.options().engine.enable_block_pruning,
-                            engine.scoring_pool(), std::move(response));
+  return PendingExplanation(&engine, std::move(pinned), std::move(problem),
+                            request.what_if(), std::move(response));
 }
 
 // --- LiveDataset -------------------------------------------------------------
@@ -412,15 +414,13 @@ Result<PendingExplanation> LiveDataset::ExplainAsync(
 
 // --- PendingExplanation ------------------------------------------------------
 
-PendingExplanation::PendingExplanation(Dataset::Pinned pinned,
+PendingExplanation::PendingExplanation(Engine* engine, Dataset::Pinned pinned,
                                        ProblemSpec problem, bool with_what_if,
-                                       bool enable_block_pruning,
-                                       ThreadPool* pool, Response response)
-    : pinned_(std::move(pinned)),
+                                       Response response)
+    : engine_(engine),
+      pinned_(std::move(pinned)),
       problem_(std::move(problem)),
       with_what_if_(with_what_if),
-      enable_block_pruning_(enable_block_pruning),
-      pool_(pool),
       response_(std::move(response)) {}
 
 Result<ExplainResponse> PendingExplanation::Get() {
@@ -431,8 +431,9 @@ Result<ExplainResponse> PendingExplanation::Get() {
   Result<Explanation> explanation = response_.future.get();
   if (!explanation.ok()) return explanation.status();
   return BuildResponse(*pinned_.table, *pinned_.result, problem_,
-                       with_what_if_, enable_block_pruning_, pool_,
-                       std::move(*explanation));
+                       with_what_if_,
+                       engine_->options().engine.enable_block_pruning,
+                       engine_->scoring_pool(), std::move(*explanation));
 }
 
 }  // namespace scorpion

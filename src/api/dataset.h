@@ -37,14 +37,16 @@ class Dataset;
 class LiveDataset;
 class PendingExplanation;
 
-/// Engine-wide tuning: the inner Scorpion knobs plus the serving knobs the
-/// async path (one ExplanationService per Engine) runs with.
+/// Engine-wide tuning: the inner Scorpion knobs plus the serving knobs of
+/// the async queue (one ExplanationService per Engine).
 struct EngineOptions {
   /// Inner engine tuning. `engine.algorithm` and `engine.top_k` act as
-  /// defaults a request can override; `engine.num_threads` sizes the scoring
-  /// pool shared by every dataset (0 = one thread per core, 1 = serial).
+  /// defaults a request can override; `engine.num_threads` sizes the
+  /// Engine's one scoring pool, shared by the sync and async explains of
+  /// every dataset (0 = one thread per core, 1 = serial).
   ScorpionOptions engine;
-  /// Worker threads executing async requests.
+  /// Worker threads running async explains (each scores on the shared
+  /// pool above).
   int num_workers = 2;
   /// Async queue bound; beyond it admission control sheds (Unavailable).
   size_t max_queue_depth = 256;
@@ -93,8 +95,9 @@ class Engine {
 
  private:
   friend class Dataset;
+  friend class PendingExplanation;
 
-  /// The shared scoring pool (nullptr = serial).
+  /// The one scoring pool (nullptr = serial).
   ThreadPool* scoring_pool() { return pool_.get(); }
 
   /// The async service, started on first use so sync-only engines spawn no
@@ -168,17 +171,27 @@ class Dataset {
   Dataset(Engine* engine, const Table* table,
           std::shared_ptr<const QueryResult> result);
 
-  /// The sync explain path of both handles. `stats` (nullable) receives
-  /// the ingest-plane counters (see Engine::OpenLive).
+  /// The one explain run of both handles and both paths: builds the engine
+  /// options from Engine::options() with the request's algorithm and top-k,
+  /// runs Scorpion::Explain on the Engine's scoring pool, and feeds the
+  /// run's ingest-plane counters to `stats` (nullable; see
+  /// Engine::OpenLive).
+  static Result<Explanation> Run(Engine& engine, const Pinned& pinned,
+                                 const ProblemSpec& problem,
+                                 Algorithm algorithm, size_t top_k,
+                                 ExplainSession* session, ServiceStats* stats);
+
+  /// The sync path of both handles: resolves the request and calls Run
+  /// inline.
   static Result<ExplainResponse> ExplainPinned(Engine& engine,
                                                SessionStore& sessions,
                                                const Pinned& pinned,
                                                ServiceStats* stats,
                                                const ExplainRequest& request);
 
-  /// The async submit path of both handles. `stats` (nullable) receives
-  /// the ingest-plane counters when the run finishes, whether or not the
-  /// caller redeems the result.
+  /// The async path of both handles: resolves the request and queues Run
+  /// on the engine's service. The job owns `pinned` and the session until
+  /// it finishes, whether or not the caller redeems the result.
   static Result<PendingExplanation> SubmitPinned(
       Engine& engine, SessionStore& sessions, Pinned pinned,
       ServiceStats* stats, const ExplainRequest& request);
@@ -268,7 +281,8 @@ class LiveDataset {
 /// or is cancelled — see the service error contract) and can be called
 /// once. The handle shares ownership of the query result, so it stays
 /// valid even if the Dataset that issued it is moved or destroyed; only
-/// the table (borrowed) and the Engine must outlive it.
+/// the table (borrowed) and the Engine must outlive it. The what-if view
+/// is built in Get(), on the caller's thread.
 class PendingExplanation {
  public:
   PendingExplanation(PendingExplanation&&) = default;
@@ -285,19 +299,14 @@ class PendingExplanation {
  private:
   friend class Dataset;
 
-  PendingExplanation(Dataset::Pinned pinned, ProblemSpec problem,
-                     bool with_what_if, bool enable_block_pruning,
-                     ThreadPool* pool, Response response);
+  PendingExplanation(Engine* engine, Dataset::Pinned pinned,
+                     ProblemSpec problem, bool with_what_if,
+                     Response response);
 
+  Engine* engine_;
   Dataset::Pinned pinned_;
   ProblemSpec problem_;
   bool with_what_if_ = true;
-  // Engine data-plane configuration captured at submit time, so the
-  // what-if bind in Get() follows ScorpionOptions::enable_block_pruning
-  // and the shared scoring pool (the Engine must outlive this handle —
-  // already part of the handle's contract).
-  bool enable_block_pruning_ = true;
-  ThreadPool* pool_ = nullptr;
   Response response_;
 };
 

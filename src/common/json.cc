@@ -1,6 +1,7 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -386,8 +387,20 @@ std::string JsonNumberToString(double v) {
     return buf;
   }
   // Shortest form that survives the decimal round trip, so re-serializing a
-  // parsed document is byte-identical.
-  for (int precision = 1; precision <= 17; ++precision) {
+  // parsed document is byte-identical. std::to_chars yields the shortest
+  // round-tripping digit count; fewer %g digits can never round-trip, so the
+  // search starts there. It can still need one more step: %g rounds to the
+  // nearest value at that precision, which at a power-of-two boundary may
+  // fall outside the narrower half of the round-trip interval.
+  char shortest[32];
+  const std::to_chars_result sci =
+      std::to_chars(shortest, shortest + sizeof(shortest), v,
+                    std::chars_format::scientific);
+  int digits = 0;
+  for (const char* p = shortest; p < sci.ptr && *p != 'e'; ++p) {
+    if (std::isdigit(static_cast<unsigned char>(*p))) ++digits;
+  }
+  for (int precision = digits; precision <= 17; ++precision) {
     std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
     if (std::strtod(buf, nullptr) == v) return buf;
   }

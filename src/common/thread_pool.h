@@ -29,7 +29,7 @@ namespace scorpion {
 /// run inline on the current thread instead of deadlocking or oversubscribing.
 ///
 /// ParallelFor may be called from multiple producer threads concurrently
-/// (the ExplanationService drives many requests through one shared pool):
+/// (an Engine's async workers and sync callers share its one scoring pool):
 /// completion is tracked per call, so each caller returns as soon as its own
 /// chunks have finished, independent of other callers' in-flight work.
 class ThreadPool {

@@ -227,8 +227,9 @@ class Scorpion {
                               bool cross_c_warm_start = false);
 
   /// Attaches an externally owned pool used instead of building one from
-  /// options().num_threads; the ExplanationService shares one scoring pool
-  /// across its workers this way. Pass nullptr to revert to the owned pool.
+  /// options().num_threads; api::Engine runs every explain, sync or async,
+  /// on its one scoring pool this way. Pass nullptr to revert to the owned
+  /// pool.
   /// The pool must outlive this Scorpion's last Explain call.
   void set_thread_pool(ThreadPool* pool) { external_pool_ = pool; }
 

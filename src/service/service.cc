@@ -11,11 +11,6 @@ ExplanationService::ExplanationService(ServiceOptions options)
     : options_(std::move(options)),
       scheduler_(SchedulerOptions{options_.max_queue_depth}) {
   if (options_.num_workers < 0) options_.num_workers = 0;
-  int scoring_threads = options_.engine.num_threads;
-  if (scoring_threads == 0) scoring_threads = ThreadPool::DefaultNumThreads();
-  if (scoring_threads > 1) {
-    scoring_pool_ = std::make_unique<ThreadPool>(scoring_threads);
-  }
   workers_.reserve(static_cast<size_t>(options_.num_workers));
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -35,16 +30,9 @@ Response ExplanationService::Submit(Job job) {
   response.future = item.promise.get_future();
 
   // Fail fast before the job occupies queue space.
-  if (item.job.table == nullptr || item.job.query_result == nullptr) {
+  if (!item.job.run) {
     ++stats_.failed;
-    item.promise.set_value(
-        Status::InvalidArgument("job needs a table and a query result"));
-    return response;
-  }
-  Status valid = item.job.problem.Validate(*item.job.query_result);
-  if (!valid.ok()) {
-    ++stats_.failed;
-    item.promise.set_value(std::move(valid));
+    item.promise.set_value(Status::InvalidArgument("job needs a run"));
     return response;
   }
 
@@ -126,15 +114,7 @@ void ExplanationService::Execute(ScheduledJob item) {
     return;
   }
 
-  ScorpionOptions engine_options = options_.engine;
-  engine_options.algorithm = job.algorithm;
-  if (job.top_k > 0) engine_options.top_k = job.top_k;
-  Scorpion engine(engine_options);
-  engine.set_thread_pool(scoring_pool_.get());
-
-  Result<Explanation> result =
-      engine.Explain(*job.table, *job.query_result, job.problem,
-                     job.session.get(), options_.cross_c_warm_start);
+  Result<Explanation> result = job.run();
 
   if (result.ok()) {
     ++stats_.completed;
@@ -145,9 +125,6 @@ void ExplanationService::Execute(ScheduledJob item) {
     stats_.rows_skipped_by_pruning +=
         result->scorer_stats.rows_skipped_by_pruning.load();
     stats_.RecordDeltaRefresh(*result);
-    if (job.refresh_stats != nullptr) {
-      job.refresh_stats->RecordDeltaRefresh(*result);
-    }
     stats_.RecordLatency(std::chrono::duration<double>(
                              Job::Clock::now() - item.enqueue_time)
                              .count());

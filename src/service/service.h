@@ -1,21 +1,18 @@
-// ExplanationService: the async batched serving layer above the Scorpion
-// engine. Accepts many concurrent explanation requests, schedules them by
-// priority and deadline through a bounded queue, executes them on worker
-// threads that share one scoring ThreadPool, and runs each job against the
-// ExplainSession its caller pinned on it (the Section 8.3.3 cache; the
-// service holds none of its own).
+// ExplanationService: the async serving layer. Accepts many concurrent
+// jobs, schedules them by priority and deadline through a bounded queue, and
+// runs each job's `run` on a worker thread. It holds no engine state: no
+// scoring pool, no engine options, no session cache — a job's run brings its
+// own (api::Dataset's runs use their Engine's one scoring pool and the
+// dataset's sessions).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/macros.h"
 #include "common/mutex.h"
-#include "common/thread_pool.h"
-#include "core/scorpion.h"
 #include "service/job.h"
 #include "service/scheduler.h"
 #include "service/stats.h"
@@ -23,35 +20,26 @@
 namespace scorpion {
 
 struct ServiceOptions {
-  /// Engine tuning shared by every request. `engine.algorithm` is overridden
-  /// per request; `engine.num_threads` sizes the shared scoring pool
-  /// (0 = one thread per hardware core, 1 = serial scoring).
-  ScorpionOptions engine;
-  /// Request-execution threads. 0 is allowed: requests queue but never run
-  /// (useful for tests and manual draining — Shutdown() cancels them).
+  /// Job-running threads. 0 is allowed: jobs queue but never run (useful
+  /// for tests and manual draining — Shutdown() cancels them).
   int num_workers = 2;
   /// Scheduler bound; beyond it, admission control sheds (see Scheduler).
   size_t max_queue_depth = 256;
-  /// Enables Section 8.3.3 cross-c warm starts between the c values cached
-  /// in a job's session. Warm-started merges only improve influence, but the
-  /// output then depends on request completion order; the default keeps
-  /// every response byte-identical to a direct Scorpion::Explain() of the
-  /// same request.
-  bool cross_c_warm_start = false;
 };
 
-/// \brief Async, batched front-end over the Scorpion engine.
+/// \brief Async, batched job runner.
 ///
 ///   ExplanationService service(options);
-///   Response r = service.Submit({.table = &t, .query_result = &qr,
-///                                .problem = problem});
+///   Job job;
+///   job.run = [&] { return scorpion.Explain(table, qr, problem); };
+///   Response r = service.Submit(std::move(job));
 ///   Result<Explanation> e = r.future.get();
 ///
 /// (The typed public surface for this is api::Dataset::ExplainAsync, which
-/// resolves an ExplainRequest into a Job and pins the dataset's session.)
+/// submits the dataset's own explain run as the job.)
 ///
-/// All public methods are thread-safe. Tables and query results referenced
-/// by a job are borrowed and must outlive its future's readiness.
+/// All public methods are thread-safe. Whatever a run borrows must outlive
+/// its future's readiness.
 class ExplanationService {
  public:
   explicit ExplanationService(ServiceOptions options = {});
@@ -59,9 +47,9 @@ class ExplanationService {
 
   SCORPION_DISALLOW_COPY_AND_ASSIGN(ExplanationService);
 
-  /// Validates and enqueues one job. Never blocks on a full queue: the
-  /// future reports Unavailable when shed (see Response for the full error
-  /// contract).
+  /// Enqueues one job; a job without a `run` fails with InvalidArgument.
+  /// Never blocks on a full queue: the future reports Unavailable when shed
+  /// (see Response for the full error contract).
   Response Submit(Job job);
 
   /// Cancels a queued job (its future reports Cancelled). False if the job
@@ -82,13 +70,12 @@ class ExplanationService {
   void Execute(ScheduledJob item);
 
   ServiceOptions options_;
-  std::unique_ptr<ThreadPool> scoring_pool_;  // nullptr = serial scoring
   Scheduler scheduler_;
   ServiceStats stats_;
   std::atomic<uint64_t> next_id_{1};
   // Serializes Shutdown(): a concurrent second caller blocks until the
-  // winner has joined the workers, so "after Shutdown() returns, nothing
-  // touches the service or the borrowed tables" holds for every caller.
+  // winner has joined the workers, so "after Shutdown() returns, no run is
+  // in flight" holds for every caller.
   Mutex shutdown_mu_;
   bool shutdown_ SCORPION_GUARDED_BY(shutdown_mu_) = false;
 

@@ -1,8 +1,6 @@
 #include "storage/live_table.h"
 
-#include <string>
 #include <utility>
-#include <variant>
 
 #include "common/failpoint.h"
 #include "common/macros.h"
@@ -16,18 +14,7 @@ LiveTable::LiveTable(Schema schema) : schema_(std::move(schema)) {
 }
 
 Status LiveTable::Append(const std::vector<Value>& values) {
-  // Checked up front so a rejected row leaves every column as it was.
-  if (static_cast<int>(values.size()) != schema_.num_fields()) {
-    return Status::InvalidArgument(
-        "row arity " + std::to_string(values.size()) + " != schema arity " +
-        std::to_string(schema_.num_fields()));
-  }
-  for (int c = 0; c < schema_.num_fields(); ++c) {
-    if (schema_.field(c).type == DataType::kDouble &&
-        !std::holds_alternative<double>(values[c])) {
-      return Status::TypeError("string value appended to a double column");
-    }
-  }
+  SCORPION_RETURN_NOT_OK(schema_.ValidateRow(values));
   MutexLock lock(mu_);
   for (size_t c = 0; c < pending_.size(); ++c) {
     SCORPION_RETURN_NOT_OK(pending_[c].AppendValue(values[c]));

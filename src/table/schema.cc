@@ -1,5 +1,7 @@
 #include "table/schema.h"
 
+#include <variant>
+
 namespace scorpion {
 
 Schema::Schema(std::vector<Field> fields) : fields_(std::move(fields)) {
@@ -14,6 +16,21 @@ Result<int> Schema::FieldIndex(const std::string& name) const {
     return Status::KeyError("no field named '" + name + "'");
   }
   return it->second;
+}
+
+Status Schema::ValidateRow(const std::vector<Value>& values) const {
+  if (values.size() != fields_.size()) {
+    return Status::InvalidArgument(
+        "row arity " + std::to_string(values.size()) + " != schema arity " +
+        std::to_string(fields_.size()));
+  }
+  for (size_t c = 0; c < fields_.size(); ++c) {
+    if (fields_[c].type == DataType::kDouble &&
+        !std::holds_alternative<double>(values[c])) {
+      return Status::TypeError("string value appended to a double column");
+    }
+  }
+  return Status::OK();
 }
 
 std::string Schema::ToString() const {

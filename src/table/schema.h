@@ -37,6 +37,12 @@ class Schema {
     return index_.count(name) > 0;
   }
 
+  /// Checks a row before any column takes it: InvalidArgument on an arity
+  /// mismatch, TypeError on a string for a double field (a number for a
+  /// categorical field is accepted; the column formats it). Row appenders
+  /// call this first so a rejected row appends nothing.
+  Status ValidateRow(const std::vector<Value>& values) const;
+
   bool operator==(const Schema& other) const { return fields_ == other.fields_; }
 
   std::string ToString() const;

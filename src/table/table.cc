@@ -15,11 +15,7 @@ Table::Table(Schema schema) : schema_(std::move(schema)) {
 }
 
 Status Table::AppendRow(const std::vector<Value>& values) {
-  if (static_cast<int>(values.size()) != schema_.num_fields()) {
-    return Status::InvalidArgument(
-        "row arity " + std::to_string(values.size()) + " != schema arity " +
-        std::to_string(schema_.num_fields()));
-  }
+  SCORPION_RETURN_NOT_OK(schema_.ValidateRow(values));
   for (int i = 0; i < schema_.num_fields(); ++i) {
     SCORPION_RETURN_NOT_OK(columns_[i].AppendValue(values[i]));
   }

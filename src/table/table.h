@@ -84,7 +84,8 @@ class Table {
   size_t num_rows() const { return num_rows_; }
   int num_columns() const { return schema_.num_fields(); }
 
-  /// Appends one row; `values` must match the schema arity and types.
+  /// Appends one row; `values` must match the schema arity and types. A
+  /// rejected row appends nothing (see Schema::ValidateRow).
   Status AppendRow(const std::vector<Value>& values);
 
   /// Column by position (unchecked).

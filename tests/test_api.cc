@@ -577,5 +577,154 @@ TEST(DatasetExplainAsync, CancelQueuedRequest) {
   EXPECT_FALSE(engine.Cancel(handle->id()));
 }
 
+/// A 6-group, 2-D SYNTH SUM table and the request flagging its outliers.
+struct SynthCase {
+  SynthDataset synth;
+  ExplainRequest request;
+};
+
+SynthCase MakeSynthCase(uint64_t seed) {
+  SynthOptions opts = SynthPreset(2, /*easy=*/true, seed);
+  opts.num_groups = 6;
+  opts.tuples_per_group = 250;
+  SynthCase out;
+  out.synth = GenerateSynth(opts).ValueOrDie();
+  out.synth.query.aggregate = "SUM";
+  for (const std::string& key : out.synth.outlier_keys) {
+    out.request.FlagTooHigh(key);
+  }
+  out.request.Holdouts(out.synth.holdout_keys)
+      .WithAttributes(out.synth.attributes)
+      .WithLambda(0.5);
+  return out;
+}
+
+void ExpectSamePredicates(const Explanation& expected,
+                          const ExplainResponse& actual) {
+  ASSERT_EQ(expected.predicates.size(), actual.predicates.size());
+  for (size_t i = 0; i < expected.predicates.size(); ++i) {
+    EXPECT_EQ(expected.predicates[i].pred, actual.predicates[i].pred)
+        << "rank " << i;
+    EXPECT_EQ(expected.predicates[i].influence, actual.predicates[i].influence)
+        << "rank " << i;
+  }
+}
+
+TEST(DatasetExplainAsync, ConcurrentSubmitsMatchDirectExplainByteForByte) {
+  // 8 concurrent clients, 56 mixed-c requests over 2 datasets, on an Engine
+  // whose one 2-thread scoring pool serves all 4 async workers (so TSan
+  // races the shared pool and each dataset's shared session). Every
+  // response must be byte-identical to a direct serial Scorpion::Explain()
+  // of the same request, and the repeats must hit the session cache.
+  SynthCase cases[2] = {MakeSynthCase(17), MakeSynthCase(29)};
+  const std::vector<double> cs = {0.5, 0.3, 0.1};
+
+  EngineOptions options;
+  options.engine.num_threads = 2;
+  options.num_workers = 4;
+  Engine engine(options);
+  std::vector<Dataset> datasets;
+  for (const SynthCase& sc : cases) {
+    auto opened = engine.Open(sc.synth.table, sc.synth.query);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    datasets.push_back(std::move(*opened));
+  }
+
+  // Direct serial baselines, one per (dataset, c).
+  Explanation expected[2][3];
+  for (int d = 0; d < 2; ++d) {
+    for (size_t ci = 0; ci < cs.size(); ++ci) {
+      auto problem =
+          datasets[d].Resolve(ExplainRequest(cases[d].request).WithC(cs[ci]));
+      ASSERT_TRUE(problem.ok()) << problem.status().ToString();
+      Scorpion direct;  // default options: kDT, num_threads = 1
+      auto e = direct.Explain(cases[d].synth.table, datasets[d].result(),
+                              *problem);
+      ASSERT_TRUE(e.ok()) << e.status().ToString();
+      expected[d][ci] = std::move(*e);
+    }
+  }
+
+  constexpr int kClients = 8;
+  constexpr int kRequestsPerClient = 7;
+  struct Issued {
+    int dataset;
+    size_t c_index;
+    Result<PendingExplanation> pending;
+  };
+  std::vector<std::vector<Issued>> per_client(kClients);
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      for (int r = 0; r < kRequestsPerClient; ++r) {
+        const int d = (t + r) % 2;
+        const size_t ci = static_cast<size_t>(t + 2 * r) % cs.size();
+        per_client[t].push_back(
+            {d, ci,
+             datasets[d].ExplainAsync(
+                 ExplainRequest(cases[d].request).WithC(cs[ci]))});
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  for (auto& issued_list : per_client) {
+    for (Issued& issued : issued_list) {
+      ASSERT_TRUE(issued.pending.ok()) << issued.pending.status().ToString();
+      auto response = issued.pending->Get();
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      ExpectSamePredicates(expected[issued.dataset][issued.c_index],
+                           *response);
+    }
+  }
+
+  ServiceStatsSnapshot snap = engine.service_stats();
+  EXPECT_EQ(snap.submitted,
+            static_cast<uint64_t>(kClients * kRequestsPerClient));
+  EXPECT_EQ(snap.completed, snap.submitted);
+  EXPECT_EQ(snap.shed, 0u);
+  // 56 requests over 6 (dataset, c) pairs: the repeats must reuse session
+  // state.
+  EXPECT_GT(snap.cache_partition_hits + snap.cache_result_hits, 0u);
+  EXPECT_GT(snap.p95_latency_seconds, 0.0);
+  EXPECT_GE(snap.p95_latency_seconds, snap.p50_latency_seconds);
+}
+
+TEST(DatasetExplainAsync, ServesNaiveAndMCAlgorithms) {
+  // The request's algorithm overrides the engine default on the async path,
+  // and the rest of EngineOptions::engine (here NAIVE's knobs) reaches the
+  // run.
+  SynthCase sc = MakeSynthCase(61);
+  EngineOptions options;
+  options.num_workers = 2;
+  options.engine.naive.num_continuous_splits = 5;
+  options.engine.naive.time_budget_seconds = 120.0;
+  Engine engine(options);
+  auto dataset = engine.Open(sc.synth.table, sc.synth.query);
+  ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
+
+  const ExplainRequest request = ExplainRequest(sc.request).WithC(0.5);
+  auto mc = dataset->ExplainAsync(
+      ExplainRequest(request).WithAlgorithm(Algorithm::kMC));
+  auto naive = dataset->ExplainAsync(
+      ExplainRequest(request).WithAlgorithm(Algorithm::kNaive));
+  ASSERT_TRUE(mc.ok()) << mc.status().ToString();
+  ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+
+  auto problem = dataset->Resolve(request);
+  ASSERT_TRUE(problem.ok());
+  for (Algorithm algorithm : {Algorithm::kMC, Algorithm::kNaive}) {
+    ScorpionOptions direct_options = options.engine;
+    direct_options.algorithm = algorithm;
+    auto direct = Scorpion(direct_options)
+                      .Explain(sc.synth.table, dataset->result(), *problem);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    auto served = (algorithm == Algorithm::kMC ? *mc : *naive).Get();
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_EQ(served->algorithm, algorithm);
+    ExpectSamePredicates(*direct, *served);
+  }
+}
+
 }  // namespace
 }  // namespace scorpion

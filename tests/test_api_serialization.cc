@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "api/explain_response.h"
 #include "common/json.h"
 #include "common/random.h"
+#include "reference/json_number.h"
 
 namespace scorpion {
 namespace {
@@ -399,6 +402,54 @@ TEST(JsonNumbers, ShortestFormSurvivesRoundTrips) {
   EXPECT_EQ(JsonNumberToString(5.0), "5");
   EXPECT_EQ(JsonNumberToString(-0.0), "-0");
   EXPECT_EQ(JsonNumberToString(1e300), "1e+300");
+  // Power-of-two boundaries, where %g at the shortest digit count can miss
+  // the narrow half of the round-trip interval and needs one digit more,
+  // and the denormals.
+  EXPECT_EQ(JsonNumberToString(std::ldexp(1.0, -1017)),
+            "7.1202363472230444e-307");
+  EXPECT_EQ(JsonNumberToString(std::ldexp(1.0, -1007)),
+            "7.2911220195563975e-304");
+  EXPECT_EQ(JsonNumberToString(std::numeric_limits<double>::denorm_min()),
+            "5e-324");
+  EXPECT_EQ(JsonNumberToString(-std::numeric_limits<double>::denorm_min()),
+            "-5e-324");
+  EXPECT_EQ(JsonNumberToString(std::numeric_limits<double>::min()),
+            "2.2250738585072014e-308");
+  EXPECT_EQ(JsonNumberToString(std::nextafter(
+                std::numeric_limits<double>::min(), 0.0)),
+            "2.225073858507201e-308");
+  EXPECT_EQ(JsonNumberToString(std::numeric_limits<double>::max()),
+            "1.7976931348623157e+308");
+}
+
+TEST(JsonNumbers, MatchesTheDigitSearchReference) {
+  // The writer starts its %g search at std::to_chars' shortest digit count;
+  // the reference searches from one digit. Both must print the same bytes.
+  const auto expect_same = [](double v) {
+    EXPECT_EQ(JsonNumberToString(v), reference::JsonNumberToString(v))
+        << std::hexfloat << v;
+  };
+  // Every power of two with its one-ulp neighbours, denormals included.
+  for (int e = -1074; e <= 1023; ++e) {
+    const double v = std::ldexp(1.0, e);
+    for (double x : {v, std::nextafter(v, 0.0),
+                     std::nextafter(v, std::numeric_limits<double>::max())}) {
+      expect_same(x);
+      expect_same(-x);
+    }
+  }
+  Rng rng(211);
+  for (int i = 0; i < 20000; ++i) {
+    // Raw bit patterns (NaNs, infinities and denormals included).
+    const uint64_t bits = rng.engine()();
+    double raw;
+    std::memcpy(&raw, &bits, sizeof(raw));
+    expect_same(raw);
+    // Uniform reals, and two-decimal values like the workloads' prices.
+    expect_same(rng.Uniform(-1e6, 1e6));
+    expect_same(static_cast<double>(rng.UniformInt(-1000000, 1000000)) /
+                100.0);
+  }
 }
 
 TEST(JsonStrings, EscapesSurviveRoundTrips) {

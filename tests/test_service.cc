@@ -1,8 +1,9 @@
-// ExplanationService contract: concurrent Submit from many threads produces
-// results byte-identical to direct Scorpion::Explain(), jobs sharing a
-// pinned session reuse its cached state, deadlines/shedding/cancellation
-// surface the right Status codes, and the scheduler orders by priority +
-// deadline.
+// ExplanationService contract: a job's run executes on a worker and its
+// result (or error) reaches the future, runs sharing a captured session
+// reuse its cached state, deadlines/shedding/cancellation surface the right
+// Status codes, and the scheduler orders by priority + deadline. The
+// Engine-level async path (one scoring pool, byte-identity under concurrent
+// clients) is covered by DatasetExplainAsync in test_api.cc.
 #include "service/service.h"
 
 #include <gtest/gtest.h>
@@ -13,7 +14,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "eval/experiment.h"
@@ -45,16 +45,16 @@ Fixture MakeFixture(uint64_t seed, const std::string& aggregate = "SUM") {
   return f;
 }
 
+/// A DT explain of `f` at `c` as a closure job; `session` (optional) is
+/// shared with the caller's other jobs. `f` must outlive the job.
 Job MakeJob(const Fixture& f, double c,
-            Algorithm algorithm = Algorithm::kDT,
             std::shared_ptr<ExplainSession> session = nullptr) {
   Job job;
-  job.table = &f.dataset.table;
-  job.query_result = &f.qr;
-  job.problem = f.problem;
-  job.problem.c = c;  // the one and only c for this job
-  job.algorithm = algorithm;
-  job.session = std::move(session);
+  job.run = [&f, c, session = std::move(session)] {
+    ProblemSpec problem = f.problem;
+    problem.c = c;
+    return Scorpion().Explain(f.dataset.table, f.qr, problem, session.get());
+  };
   return job;
 }
 
@@ -164,82 +164,6 @@ TEST(Scheduler, ShutdownCancelsQueuedAndRejectsNew) {
 
 // --- Service tests ----------------------------------------------------------
 
-TEST(ExplanationService, ConcurrentSubmitsMatchDirectExplainByteForByte) {
-  // The acceptance scenario: 8 concurrent clients, ~50 mixed-c requests over
-  // 2 problems, each with one session every job over it shares (so TSan
-  // races a shared session). Every response must be byte-identical to a
-  // direct serial Scorpion::Explain() of the same request, and the repeats
-  // must hit the session cache.
-  Fixture fixtures[2] = {MakeFixture(17), MakeFixture(29)};
-  const std::vector<double> cs = {0.5, 0.3, 0.1};
-
-  // Direct serial baselines, one per (fixture, c).
-  Explanation expected[2][3];
-  for (int f = 0; f < 2; ++f) {
-    for (size_t ci = 0; ci < cs.size(); ++ci) {
-      Scorpion engine;  // default options: kDT, num_threads = 1
-      ProblemSpec problem = fixtures[f].problem;
-      problem.c = cs[ci];
-      auto e = engine.Explain(fixtures[f].dataset.table, fixtures[f].qr,
-                              problem);
-      ASSERT_TRUE(e.ok()) << e.status().ToString();
-      expected[f][ci] = std::move(*e);
-    }
-  }
-
-  ServiceOptions options;
-  options.num_workers = 4;
-  options.engine.num_threads = 2;  // shared scoring pool, still bit-identical
-  ExplanationService service(options);
-  std::shared_ptr<ExplainSession> sessions[2] = {
-      std::make_shared<ExplainSession>(), std::make_shared<ExplainSession>()};
-
-  constexpr int kClients = 8;
-  constexpr int kRequestsPerClient = 7;  // 56 requests total
-  struct Issued {
-    int fixture;
-    size_t c_index;
-    Response response;
-  };
-  std::vector<std::vector<Issued>> per_client(kClients);
-  std::vector<std::thread> clients;
-  for (int t = 0; t < kClients; ++t) {
-    clients.emplace_back([&, t] {
-      for (int r = 0; r < kRequestsPerClient; ++r) {
-        int f = (t + r) % 2;
-        size_t ci = static_cast<size_t>(t + 2 * r) % cs.size();
-        Issued issued;
-        issued.fixture = f;
-        issued.c_index = ci;
-        issued.response = service.Submit(
-            MakeJob(fixtures[f], cs[ci], Algorithm::kDT, sessions[f]));
-        per_client[t].push_back(std::move(issued));
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-
-  for (auto& issued_list : per_client) {
-    for (Issued& issued : issued_list) {
-      auto result = issued.response.future.get();
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      ExpectSameExplanation(expected[issued.fixture][issued.c_index],
-                            *result);
-    }
-  }
-
-  ServiceStatsSnapshot snap = service.stats();
-  EXPECT_EQ(snap.submitted, static_cast<uint64_t>(kClients *
-                                                  kRequestsPerClient));
-  EXPECT_EQ(snap.completed, snap.submitted);
-  EXPECT_EQ(snap.shed, 0u);
-  // 56 requests over 6 (problem, c) pairs: the repeats must reuse session
-  // state.
-  EXPECT_GT(snap.cache_partition_hits + snap.cache_result_hits, 0u);
-  EXPECT_GT(snap.p95_latency_seconds, 0.0);
-  EXPECT_GE(snap.p95_latency_seconds, snap.p50_latency_seconds);
-}
-
 TEST(ExplanationService, SessionBoundsCachedCValues) {
   // A client sweeping c must not grow a session without bound: per-session
   // merged results are LRU-capped (ExplainSession::kMaxMergedEntries = 16),
@@ -251,7 +175,7 @@ TEST(ExplanationService, SessionBoundsCachedCValues) {
   ExplanationService service(options);
   auto session = std::make_shared<ExplainSession>();
   auto submit = [&](double c) {
-    return service.Submit(MakeJob(f, c, Algorithm::kDT, session)).future.get();
+    return service.Submit(MakeJob(f, c, session)).future.get();
   };
 
   const double oldest_c = 0.90;
@@ -277,10 +201,16 @@ TEST(ExplanationService, ExpiredDeadlineReturnsDeadlineExceeded) {
   options.num_workers = 1;
   ExplanationService service(options);
 
-  Job late = MakeJob(f, 0.5);
+  std::atomic<bool> late_ran{false};
+  Job late;
+  late.run = [&late_ran]() -> Result<Explanation> {
+    late_ran = true;
+    return Explanation{};
+  };
   late.deadline = Job::Clock::now() - std::chrono::milliseconds(1);
   Response response = service.Submit(std::move(late));
   EXPECT_TRUE(response.future.get().status().IsDeadlineExceeded());
+  EXPECT_FALSE(late_ran) << "an expired job must not run";
   EXPECT_GE(service.stats().deadline_expired, 1u);
 
   // A deadline in the future still runs.
@@ -311,22 +241,22 @@ TEST(JobDeadline, SetDeadlineAfterRejectsNegativeAndNonFinite) {
 }
 
 TEST(ExplanationService, CallerPinnedSessionWinsOverKeyedCache) {
-  // The caller's pinned session is the only cache: jobs pinning it reuse
-  // its state (api::Dataset pins its own so its sync and async paths share
-  // one cache), while a job without a session runs cold every time — the
-  // service keeps no cache of its own.
+  // The session a run captures is the only cache: jobs capturing it reuse
+  // its state (api::Dataset captures its own so its sync and async paths
+  // share one cache), while a job without a session runs cold every time —
+  // the service keeps no cache of its own.
   Fixture f = MakeFixture(79);
   ServiceOptions options;
   options.num_workers = 1;
   ExplanationService service(options);
 
   auto session = std::make_shared<ExplainSession>();
-  auto r1 = service.Submit(MakeJob(f, 0.5, Algorithm::kDT, session))
+  auto r1 = service.Submit(MakeJob(f, 0.5, session))
                 .future.get();
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
   EXPECT_FALSE(r1->cache_partitions_hit);
 
-  auto r2 = service.Submit(MakeJob(f, 0.2, Algorithm::kDT, session))
+  auto r2 = service.Submit(MakeJob(f, 0.2, session))
                 .future.get();
   ASSERT_TRUE(r2.ok());
   EXPECT_TRUE(r2->cache_partitions_hit);
@@ -339,7 +269,7 @@ TEST(ExplanationService, CallerPinnedSessionWinsOverKeyedCache) {
     ExpectSameExplanation(*r1, *sessionless);
   }
 
-  auto r3 = service.Submit(MakeJob(f, 0.5, Algorithm::kDT, session))
+  auto r3 = service.Submit(MakeJob(f, 0.5, session))
                 .future.get();
   ASSERT_TRUE(r3.ok());
   EXPECT_TRUE(r3->cache_result_hit);
@@ -385,44 +315,32 @@ TEST(ExplanationService, CancelRemovesQueuedRequest) {
 }
 
 TEST(ExplanationService, RejectsInvalidRequestsUpFront) {
-  Fixture f = MakeFixture(59);
-
+  // A job without a run is rejected before it takes queue space. (Requests
+  // with a bad problem never become jobs: Dataset::ExplainAsync resolves
+  // them first; see DatasetExplainAsync.ExpiredDeadlineAndInvalidRequests.)
   ExplanationService service;
-  Job no_table;
-  Response r1 = service.Submit(std::move(no_table));
-  EXPECT_TRUE(r1.future.get().status().IsInvalidArgument());
-
-  Job bad_problem = MakeJob(f, 0.5);
-  bad_problem.problem.outliers.push_back(10'000);  // out of range
-  Response r2 = service.Submit(std::move(bad_problem));
-  EXPECT_TRUE(r2.future.get().status().IsIndexError());
+  Job no_run;
+  Response r = service.Submit(std::move(no_run));
+  EXPECT_TRUE(r.future.get().status().IsInvalidArgument());
   EXPECT_EQ(service.stats().submitted, 0u);
-  EXPECT_EQ(service.stats().failed, 2u);
+  EXPECT_EQ(service.stats().failed, 1u);
 }
 
-TEST(ExplanationService, ServesNaiveAndMCAlgorithms) {
-  Fixture f = MakeFixture(61);
+TEST(ExplanationService, RunErrorsReachTheFutureAndCountAsFailed) {
   ServiceOptions options;
-  options.num_workers = 2;
-  options.engine.naive.num_continuous_splits = 5;
-  options.engine.naive.time_budget_seconds = 120.0;
+  options.num_workers = 1;
   ExplanationService service(options);
-
-  Response mc = service.Submit(MakeJob(f, 0.5, Algorithm::kMC));
-  Response naive = service.Submit(MakeJob(f, 0.5, Algorithm::kNaive));
-
-  for (Algorithm algorithm : {Algorithm::kMC, Algorithm::kNaive}) {
-    ScorpionOptions direct_options = options.engine;
-    direct_options.algorithm = algorithm;
-    Scorpion engine(direct_options);
-    ProblemSpec problem = f.problem;
-    problem.c = 0.5;
-    auto direct = engine.Explain(f.dataset.table, f.qr, problem);
-    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
-    auto served = (algorithm == Algorithm::kMC ? mc : naive).future.get();
-    ASSERT_TRUE(served.ok()) << served.status().ToString();
-    ExpectSameExplanation(*direct, *served);
-  }
+  Job job;
+  job.run = []() -> Result<Explanation> {
+    return Status::InvalidArgument("engine said no");
+  };
+  Response r = service.Submit(std::move(job));
+  Result<Explanation> result = r.future.get();
+  EXPECT_TRUE(result.status().IsInvalidArgument());
+  EXPECT_EQ(result.status().message(), "engine said no");
+  EXPECT_EQ(service.stats().submitted, 1u);
+  EXPECT_EQ(service.stats().completed, 0u);
+  EXPECT_EQ(service.stats().failed, 1u);
 }
 
 }  // namespace

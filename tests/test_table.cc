@@ -87,6 +87,22 @@ TEST(Table, AppendRowValidatesArityAndTypes) {
   EXPECT_EQ(t.num_rows(), 1u);
 }
 
+TEST(Table, AppendRowRejectsBadRowWhole) {
+  // The type error sits in the last column: a row-at-a-time append would
+  // already have grown column 0 when it hits it.
+  Table t(Schema({{"s", DataType::kCategorical}, {"x", DataType::kDouble}}));
+  ASSERT_TRUE(t.AppendRow({std::string("a"), 1.0}).ok());
+  EXPECT_TRUE(
+      t.AppendRow({std::string("b"), std::string("oops")}).IsTypeError());
+  EXPECT_EQ(t.num_rows(), 1u);
+  EXPECT_EQ(t.column(0).size(), 1u);
+  EXPECT_EQ(t.column(1).size(), 1u);
+  ASSERT_TRUE(t.AppendRow({std::string("c"), 2.0}).ok());
+  EXPECT_EQ(t.column(0).GetString(1), "c");
+  EXPECT_TRUE(t.FinalizeColumnwiseBuild().ok());
+  EXPECT_EQ(t.num_rows(), 2u);
+}
+
 TEST(Table, NumericValueIntoCategoricalIsFormatted) {
   Table t(Schema({{"s", DataType::kCategorical}}));
   ASSERT_TRUE(t.AppendRow({42.0}).ok());
